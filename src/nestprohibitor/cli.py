@@ -33,9 +33,17 @@ def _cmd_check(args) -> int:
     print(f"nests: 3, alpha = {scheme.alpha}, beta = {scheme.beta}")
     print(f"all-even: {'yes' if scheme.all_even else 'no'}")
     if args.ledger:
-        with open(args.ledger, "r", encoding="utf-8") as fh:
-            ledger = OrientationLedger.from_json_dict(json.load(fh))
-        ledger.validate()
+        try:
+            with open(args.ledger, "r", encoding="utf-8") as fh:
+                ledger = OrientationLedger.from_json_dict(json.load(fh))
+            ledger.validate()
+        except KeyError as err:
+            print(f"error: ledger {args.ledger}: missing field {err}", file=sys.stderr)
+            return EXIT_USAGE
+        except (OSError, TypeError, ValueError) as err:
+            # ValueError covers json.JSONDecodeError and LedgerError.
+            print(f"error: ledger {args.ledger}: {err}", file=sys.stderr)
+            return EXIT_USAGE
         candidate = Candidate(scheme=scheme, ledger=ledger)
         for rule_id, verdict in evaluate_all(candidate).items():
             line = f"{rule_id}: {verdict.status}"
@@ -102,8 +110,12 @@ def _cmd_prove(args) -> int:
                 f"closed={row.closed} via {rules}{extra}"
             )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        except OSError as err:
+            print(f"error: cannot write {args.json}: {err}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"report written to {args.json}")
     return EXIT_OK if closed else EXIT_OPEN
 

@@ -279,6 +279,20 @@ class CandidateSpace:
             raise EngineError(f"zone population bound {MAX_ZONE_POP} exceeded")
 
 
+def _signed_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Integer k-tuples whose absolute values sum to exactly n."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    if k == 1:
+        yield from ((-n,), (n,)) if n else ((0,),)
+        return
+    for head in range(-n, n + 1):
+        for tail in _signed_compositions(n - abs(head), k - 1):
+            yield (head,) + tail
+
+
 def _free_assignments(
     free: tuple[int, ...], budget: int, deficit_rhs: Optional[int]
 ) -> Iterator[dict[int, int]]:
@@ -288,8 +302,14 @@ def _free_assignments(
     last free zone range over the oval budget; the last is solved from the
     deficit equation and deliberately NOT budget-capped, so that bound
     rules get to fire on identity-forced values (budget feasibility is
-    re-checked when a witness is built).  Assignments are produced in
-    order of increasing total absolute value.
+    re-checked when a witness is built).
+
+    Nets are ordered by total absolute value, then by the values tuple,
+    and produced lazily: the non-last zones are enumerated level by level
+    of their L1 norm `used`, each net goes to the bucket of its total
+    `used + |v_last|`, and bucket `used` is sorted and yielded as soon as
+    level `used` is done, since no later level reaches that total.  A
+    caller that stops at a witness never builds the higher levels.
     """
 
     def coeff(z: int) -> int:
@@ -300,20 +320,24 @@ def _free_assignments(
             yield {}
         return
     rest, last = free[:-1], free[-1]
-    combos: list[tuple[int, tuple[int, ...]]] = []
-    for values in itertools.product(*(range(-budget, budget + 1) for _ in rest)):
-        used = sum(abs(v) for v in values)
-        if used > budget:
-            continue
-        if deficit_rhs is None:
-            for v_last in range(-(budget - used), budget - used + 1):
-                combos.append((used + abs(v_last), values + (v_last,)))
-        else:
-            v_last = (deficit_rhs - sum(coeff(z) * v for z, v in zip(rest, values))) * coeff(last)
-            combos.append((used + abs(v_last), values + (v_last,)))
-    combos.sort(key=lambda item: (item[0], item[1]))
-    for _, values in combos:
-        yield dict(zip(free, values))
+    signs = tuple(coeff(z) for z in rest)
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for used in range(budget + 1):
+        for values in _signed_compositions(used, len(rest)):
+            if deficit_rhs is None:
+                spare = budget - used
+                for v_last in range(-spare, spare + 1):
+                    buckets.setdefault(used + abs(v_last), []).append(values + (v_last,))
+            else:
+                v_last = (deficit_rhs - sum(c * v for c, v in zip(signs, values))) * coeff(last)
+                buckets.setdefault(used + abs(v_last), []).append(values + (v_last,))
+        for values in sorted(buckets.pop(used, ())):
+            yield dict(zip(free, values))
+        if not rest:
+            break  # the last zone alone: every net is on level 0
+    for total in sorted(buckets):
+        for values in sorted(buckets[total]):
+            yield dict(zip(free, values))
 
 
 def _identity_lambdas(

@@ -62,6 +62,40 @@ class TestCheck:
         assert "rm: satisfied" in out
         assert "lemma10: satisfied" in out
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            ('{"lambda": [0]}', "missing field 'epsilon'"),
+            ("{not json", "Expecting property name"),
+            (
+                json.dumps(
+                    {
+                        "lambda": [1, 0, 0, 0, 0, 0, 0],
+                        "epsilon": [1, 1, 1, -1, -1, -1],
+                        "LambdaPlus": 14,
+                        "LambdaMinus": 14,
+                        "PiPlus": 8,
+                        "PiMinus": 4,
+                        "zonePop": [0, 0, 0, 0, 0, 0, 0],
+                    }
+                ),
+                "exceeds population",
+            ),
+        ],
+        ids=["missing-field", "malformed-json", "invalid-ledger"],
+    )
+    def test_bad_ledger_exit_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "ledger.json"
+        path.write_text(content)
+        assert main(["check", "<J + 1<2> + 1<2> + 1<20> + 1>", "--ledger", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_missing_ledger_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["check", "<J + 1<2> + 1<2> + 1<20> + 1>", "--ledger", str(path)]) == 2
+        assert "No such file" in capsys.readouterr().err
+
 
 class TestEnumerate:
     def test_even_count(self, capsys):
@@ -120,6 +154,12 @@ class TestProve:
         out = capsys.readouterr().out
         assert "all closed: True" in out
         assert "printed -2" in out
+
+    def test_unwritable_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "r.json"
+        assert main(["prove", "proposition2", "--json", str(path)]) == 2
+        assert "cannot write" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestRulesListing:

@@ -1,5 +1,6 @@
 """Elimination engine: candidate spaces, traces, theorem drivers."""
 
+import itertools
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from nestprohibitor.engine import (
     no_jump_candidates,
     prove_proposition2,
     prove_theorem1,
+    _free_assignments,
     _structural_fit,
 )
 from nestprohibitor.rules import (
@@ -270,6 +272,59 @@ class TestSatisfiability:
                 figure20_candidate(FIG20_ROWS[4], SCHEME_2_2_20),
                 RealScheme((1, 1, 1), 22),
             )
+
+
+def _eager_free_assignments(free, budget, deficit_rhs):
+    """Reference: build the whole net product, sort it by (total, values)."""
+
+    def coeff(z):
+        return 1 if z == 0 else -1
+
+    if not free:
+        if deficit_rhs is None or deficit_rhs == 0:
+            yield {}
+        return
+    rest, last = free[:-1], free[-1]
+    combos = []
+    for values in itertools.product(*(range(-budget, budget + 1) for _ in rest)):
+        used = sum(abs(v) for v in values)
+        if used > budget:
+            continue
+        if deficit_rhs is None:
+            for v_last in range(-(budget - used), budget - used + 1):
+                combos.append((used + abs(v_last), values + (v_last,)))
+        else:
+            v_last = (deficit_rhs - sum(coeff(z) * v for z, v in zip(rest, values))) * coeff(last)
+            combos.append((used + abs(v_last), values + (v_last,)))
+    combos.sort(key=lambda item: (item[0], item[1]))
+    for _, values in combos:
+        yield dict(zip(free, values))
+
+
+class TestFreeAssignments:
+    # The engine passes sorted zone tuples; the reversed ones put zone 0,
+    # the only zone with deficit coefficient +1, in the solved last place.
+    FREE = sorted(
+        {
+            order
+            for k in range(5)
+            for zones in itertools.combinations((0, 1, 2, 3), k)
+            for order in (zones, zones[::-1])
+        }
+    )
+
+    @pytest.mark.parametrize("free", FREE, ids=str)
+    def test_lazy_order_equals_the_eager_sort(self, free):
+        for budget in range(7):
+            for deficit_rhs in (None, *range(-8, 9)):
+                assert list(_free_assignments(free, budget, deficit_rhs)) == list(
+                    _eager_free_assignments(free, budget, deficit_rhs)
+                ), (budget, deficit_rhs)
+
+    def test_first_net_at_a_large_budget(self):
+        free = (0, 1, 2, 3)
+        first = list(itertools.islice(_free_assignments(free, 25, 1), 1))
+        assert first == [next(_eager_free_assignments(free, 25, 1))]
 
 
 class TestTraceProperties:
