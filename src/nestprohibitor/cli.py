@@ -15,7 +15,7 @@ from . import __version__
 from .engine import prove_proposition2, prove_theorem1
 from .figures import FIGURE_IDS, build_figure, render_text, render_tsv
 from .ledger import OrientationLedger
-from .rules import RULES, Candidate, evaluate_all
+from .rules import RULES, Candidate, check_rule_ids, evaluate_all
 from .schemes import SchemeError, enumerate_three_nest_schemes, parse_real_scheme
 
 EXIT_OK = 0
@@ -83,9 +83,10 @@ def _cmd_tables(args) -> int:
 
 def _cmd_prove(args) -> int:
     ablate = tuple(args.ablate or ())
-    unknown = [r for r in ablate if r not in RULES]
-    if unknown:
-        print(f"error: unknown rule ids {unknown}", file=sys.stderr)
+    try:
+        check_rule_ids(ablate)
+    except KeyError as err:
+        print(f"error: {err.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     if args.target == "theorem1":
         report = prove_theorem1(ablate=ablate)
@@ -121,9 +122,6 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_rules(args) -> int:
-    if args.action != "list":
-        print("error: unknown rules action", file=sys.stderr)
-        return EXIT_USAGE
     for rule in RULES.values():
         print(f"{rule.rule_id}")
         print(f"  citation:   {rule.citation}")

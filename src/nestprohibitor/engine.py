@@ -24,8 +24,6 @@ jumped chain may place single ovals in the triangles.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -34,12 +32,13 @@ from .figures import FIG21_DISCREPANT_ROW, FIG21_PRINTED_VALUE, FIG21_TRIPLES
 from .orevkov import allowed_zones, e_values, f_value, g_value
 from .rules import (
     Candidate,
-    RULE_ORDER,
     RULES,
     VIOLATED,
-    _empty_triangle_schemes_ok,
+    _empty_triangles_violation,
+    _jump_violation,
     _lambda0_violation,
     _triangle_violation,
+    check_rule_ids,
     evaluate_all,
     jump_cases_open,
 )
@@ -60,8 +59,6 @@ from .schemes import (
 )
 
 MAX_ZONE_POP = 25
-
-THREADS_ENV = "NEST_PROHIBITOR_THREADS"
 
 
 class EngineError(RuntimeError):
@@ -368,9 +365,7 @@ class _Search:
         ablate: tuple[str, ...] = (),
         required_case: Optional[int] = None,
     ):
-        unknown = [r for r in ablate if r not in RULES]
-        if unknown:
-            raise KeyError(f"unknown rule ids: {unknown}")
+        check_rule_ids(ablate)
         self.space = space
         self.ct = space.curve_type
         self.scheme = space.scheme
@@ -446,11 +441,9 @@ class _Search:
             not self.zones or self.beta == 0
         ) and pop_t0 == 0 and not any(pops_t)
         if forced_empty and self.active("empty_triangles"):
-            if not _empty_triangle_schemes_ok(self.schemes):
-                close(
-                    "empty_triangles",
-                    {"schemes": [str(s) for s in self.schemes]},
-                )
+            violation = _empty_triangles_violation(self.schemes)
+            if violation:
+                close("empty_triangles", violation)
                 return list(closures.values()), checked, None
 
         deficit_rhs = None
@@ -499,34 +492,27 @@ class _Search:
             all(v == 0 for v in xt.values()) and pop_t0 == 0 and not any(pops_t)
         )
         if triangles_empty and self.active("empty_triangles"):
-            if not _empty_triangle_schemes_ok(self.schemes):
-                close("empty_triangles", {"schemes": [str(s) for s in self.schemes]})
+            violation = _empty_triangles_violation(self.schemes)
+            if violation:
+                close("empty_triangles", violation)
                 return None
 
         # Jump trichotomy, numeric tier.
         if self.ct.jump is not None and self.active("jump"):
-            deficit = lam0 - sum(lam456)
             open_cases = jump_cases_open(
                 self.pd, self.schemes[2].nu, self.ct.jump.crossing
             )
             if self.required_case is not None:
                 open_cases = [c for c in open_cases if c == self.required_case]
-            ok = (
-                (1 in open_cases and deficit == 0)
-                or (2 in open_cases and lam0 - lam456[0] - lam456[1] == -1)
-                or (3 in open_cases and lam456[2] == 1)
+            violation = _jump_violation(
+                self.pd,
+                open_cases,
+                lam0 - sum(lam456),
+                lam0 - lam456[0] - lam456[1],
+                lam456[2],
             )
-            if not ok:
-                close(
-                    "jump",
-                    {
-                        "pi_delta": self.pd,
-                        "open_cases": open_cases,
-                        "deficit": deficit,
-                        "lambda045": lam0 - lam456[0] - lam456[1],
-                        "lambda6": lam456[2],
-                    },
-                )
+            if violation:
+                close("jump", violation)
                 return None
 
         lam123 = _identity_lambdas(lam0, lam456, eps) if self.identities else None
@@ -566,7 +552,7 @@ class _Search:
     ) -> Optional[OrientationLedger]:
         beta = self.beta
         ext_used = sum(abs(v) for v in xt.values())
-        pinned = _identity_lambdas(lam0, lam456, eps)
+        pinned = lam123 if lam123 is not None else _identity_lambdas(lam0, lam456, eps)
         y_pinned = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
         pinned_cost = ext_used + sum(abs(v) for v in y_pinned)
         pinned_ok = pinned_cost <= beta and (beta - pinned_cost) % 2 == 0
@@ -697,10 +683,6 @@ class _Search:
             branches=tuple(records),
         )
 
-    def first_witness(self) -> Optional[OrientationLedger]:
-        trace = self.run()
-        return trace.witness
-
 
 def eliminate(
     candidate: CurveType, scheme: RealScheme, ablate: tuple[str, ...] = ()
@@ -715,7 +697,7 @@ def ledger_satisfiable(
     required_case: Optional[int] = None,
 ) -> Optional[OrientationLedger]:
     """First ledger satisfying every active rule on the space, if any."""
-    return _Search(space, ablate, required_case=required_case).first_witness()
+    return _Search(space, ablate, required_case=required_case).run().witness
 
 
 # ---------------------------------------------------------------------------
@@ -776,14 +758,6 @@ class ExclusionReport:
         }
 
 
-def _max_workers() -> int:
-    value = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
-
-
 def _scheme_result(
     scheme: RealScheme, ablate: tuple[str, ...]
 ) -> SchemeResult:
@@ -801,13 +775,7 @@ def prove_theorem1(
     """Eliminate every candidate for the all-even three-nest schemes."""
     if schemes is None:
         schemes = enumerate_three_nest_schemes(lambda s: s.all_even)
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _scheme_result(s, ablate), schemes))
-    else:
-        results = [_scheme_result(s, ablate) for s in schemes]
-    return ExclusionReport(tuple(results))
+    return ExclusionReport(tuple(_scheme_result(s, ablate) for s in schemes))
 
 
 # ---------------------------------------------------------------------------
@@ -860,6 +828,7 @@ def prove_proposition2(ablate: tuple[str, ...] = ()) -> Prop2Report:
     contribution to 1, which only an up-tagged even nest can supply, and
     the separating-formula residual -1 closes it.
     """
+    check_rule_ids(ablate)
     ablated = set(ablate)
     rows = []
     for triple in FIG21_TRIPLES:

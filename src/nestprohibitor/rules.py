@@ -8,10 +8,16 @@ exterior ovals" arrive as flags set by the caller.
 
 Citations name entries of the axiom registry listed in the README; the
 rules encode those statements, not their proofs.
+
+Each violation test is one pure function over plain numbers that returns
+the evidence dict or None (`_lambda0_violation`, `_triangle_violation`,
+`_empty_triangles_violation`, `jump_cases_open`, `_jump_violation`); the
+rule adapters, the engine's search and `replay_violation` all call it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -23,7 +29,6 @@ from .schemes import (
     CurveType,
     NestScheme,
     RealScheme,
-    iter_permutations,
     pi_delta,
 )
 
@@ -224,9 +229,9 @@ def rule_separating(c: Candidate) -> RuleVerdict:
     return _verdict("separating", SATISFIED)
 
 
-def _empty_triangle_schemes_ok(schemes: tuple[NestScheme, ...]) -> bool:
-    """Some nest labeling puts two schemes in {(+,-), (-,+)} and one in
-    {(+,-,-), (-,+,+)}."""
+def _empty_triangles_violation(schemes: tuple[NestScheme, ...]) -> Optional[dict]:
+    """Violated unless some nest labeling puts two schemes in
+    {(+,-), (-,+)} and one in {(+,-,-), (-,+,+)}."""
 
     def small(s: NestScheme) -> bool:
         return abs(s.diff) == 1 and s.nu * s.diff == -1
@@ -234,23 +239,18 @@ def _empty_triangle_schemes_ok(schemes: tuple[NestScheme, ...]) -> bool:
     def big(s: NestScheme) -> bool:
         return abs(s.diff) == 2 and s.nu * s.diff == -2
 
-    for perm in iter_permutations():
-        a, b, c_ = (schemes[p] for p in perm)
+    for a, b, c_ in itertools.permutations(schemes):
         if small(a) and small(b) and big(c_):
-            return True
-    return False
+            return None
+    return {"schemes": [str(s) for s in schemes]}
 
 
 def rule_empty_triangles(c: Candidate) -> RuleVerdict:
     if c.curve_type is None or c.triangles_empty is not True:
         return _verdict("empty_triangles", INAPPLICABLE)
-    schemes = c.curve_type.schemes
-    if not _empty_triangle_schemes_ok(schemes):
-        return _verdict(
-            "empty_triangles",
-            VIOLATED,
-            {"schemes": [str(s) for s in schemes]},
-        )
+    violation = _empty_triangles_violation(c.curve_type.schemes)
+    if violation:
+        return _verdict("empty_triangles", VIOLATED, violation)
     return _verdict("empty_triangles", SATISFIED)
 
 
@@ -264,6 +264,25 @@ def jump_cases_open(pd: int, nu3: int, crossing: Optional[bool]) -> list[int]:
     if pd == 3 and nu3 == MINUS and crossing is not True:
         cases.append(3)
     return cases
+
+
+def _jump_violation(
+    pi_delta: int, open_cases: list[int], deficit: int, lambda045: int, lambda6: int
+) -> Optional[dict]:
+    """Numeric tier: some open case must hold on the lambda values."""
+    if (
+        (1 in open_cases and deficit == 0)
+        or (2 in open_cases and lambda045 == -1)
+        or (3 in open_cases and lambda6 == 1)
+    ):
+        return None
+    return {
+        "pi_delta": pi_delta,
+        "open_cases": open_cases,
+        "deficit": deficit,
+        "lambda045": lambda045,
+        "lambda6": lambda6,
+    }
 
 
 def rule_jump(c: Candidate) -> RuleVerdict:
@@ -285,30 +304,14 @@ def rule_jump(c: Candidate) -> RuleVerdict:
                 "reason": "every case requires Pi_delta in {3, 4} with matching sign data",
             },
         )
-    if c.ledger is None:
-        return _verdict("jump", SATISFIED, info={"open_cases": open_cases})
-    lam = c.ledger.lam
-    deficit = lambda_deficit(c.ledger)
-    ok = []
-    if 1 in open_cases and deficit == 0:
-        ok.append(1)
-    if 2 in open_cases and lam[0] - lam[4] - lam[5] == -1:
-        ok.append(2)
-    if 3 in open_cases and lam[6] == 1:
-        ok.append(3)
-    if not ok:
-        return _verdict(
-            "jump",
-            VIOLATED,
-            {
-                "pi_delta": pd,
-                "deficit": deficit,
-                "lambda045": lam[0] - lam[4] - lam[5],
-                "lambda6": lam[6],
-                "open_cases": open_cases,
-            },
+    if c.ledger is not None:
+        lam = c.ledger.lam
+        violation = _jump_violation(
+            pd, open_cases, lambda_deficit(c.ledger), lam[0] - lam[4] - lam[5], lam[6]
         )
-    return _verdict("jump", SATISFIED, info={"open_cases": ok})
+        if violation:
+            return _verdict("jump", VIOLATED, violation)
+    return _verdict("jump", SATISFIED, info={"open_cases": open_cases})
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +385,15 @@ RULES: dict[str, Rule] = {
 RULE_ORDER = tuple(RULES)
 
 
-def evaluate_all(candidate: Candidate, ablate: tuple[str, ...] = ()) -> dict[str, RuleVerdict]:
-    unknown = [r for r in ablate if r not in RULES]
+def check_rule_ids(rule_ids) -> None:
+    """Raise KeyError naming every id that is not in the catalog."""
+    unknown = [r for r in rule_ids if r not in RULES]
     if unknown:
         raise KeyError(f"unknown rule ids: {unknown}")
+
+
+def evaluate_all(candidate: Candidate, ablate: tuple[str, ...] = ()) -> dict[str, RuleVerdict]:
+    check_rule_ids(ablate)
     return {
         rule_id: RULES[rule_id](candidate)
         for rule_id in RULE_ORDER
@@ -426,23 +434,17 @@ def replay_violation(rule_id: str, evidence: dict) -> bool:
             return evidence["required"] not in evidence["reachable"]
         return False
     if rule_id == "lambda0_bound":
-        v = evidence["lambda0"]
-        tier = evidence.get("tier")
-        if tier == "lemma16":
-            return abs(v) > 3
-        if tier == "prop2":
-            return abs(v) > 2
         reason = evidence.get("reason")
-        if reason == "non-separating nest":
-            return _lambda0_violation(v, False, False, None, None) is not None
-        if reason == "epsilon sum":
-            return (
-                _lambda0_violation(v, False, True, evidence["epsilon_sum"], None)
-                is not None
+        return (
+            _lambda0_violation(
+                evidence["lambda0"],
+                evidence.get("tier") == "prop2",
+                False if reason == "non-separating nest" else None,
+                evidence.get("epsilon_sum"),
+                () if reason == "no empty quadrangle" else None,
             )
-        if reason == "no empty quadrangle":
-            return _lambda0_violation(v, False, True, None, ()) is not None
-        return False
+            is not None
+        )
     if rule_id == "triangle_bound":
         zone = int(evidence["zone"][1])
         return (
@@ -454,16 +456,11 @@ def replay_violation(rule_id: str, evidence: dict) -> bool:
     if rule_id == "separating":
         return evidence["residual"] != 0 and evidence["residual"] == evidence["f"] - evidence["g_sum"]
     if rule_id == "empty_triangles":
-        return not _empty_triangle_schemes_ok(
-            tuple(_parse_short_scheme(s) for s in evidence["schemes"])
-        )
+        schemes = tuple(_parse_short_scheme(s) for s in evidence["schemes"])
+        return _empty_triangles_violation(schemes) is not None
     if rule_id == "jump":
         if "open_cases" in evidence:
-            return not (
-                (1 in evidence["open_cases"] and evidence["deficit"] == 0)
-                or (2 in evidence["open_cases"] and evidence["lambda045"] == -1)
-                or (3 in evidence["open_cases"] and evidence["lambda6"] == 1)
-            )
+            return _jump_violation(**evidence) is not None
         return not jump_cases_open(
             evidence["pi_delta"], evidence["nu3"], evidence["crossing"]
         )

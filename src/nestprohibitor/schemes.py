@@ -14,7 +14,7 @@ Everything is an immutable value; all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 DEGREE = 9
 GENUS = (DEGREE - 1) * (DEGREE - 2) // 2  # 28
@@ -452,12 +452,6 @@ class CurveType:
     def alphas(self) -> tuple[int, int, int]:
         return tuple(ct.scheme.alpha for ct in self.nests)
 
-    def permuted(self, perm: tuple[int, int, int]) -> "CurveType":
-        """Relabel nests by the permutation (jump-bearing types keep nest 3)."""
-        if self.jump is not None and perm[2] != 2:
-            raise SchemeInvariantError("permutations must fix the jumped nest")
-        return CurveType(tuple(self.nests[p] for p in perm), self.jump)
-
     def __str__(self) -> str:
         body = ", ".join(str(ct) for ct in self.nests)
         if self.jump is None:
@@ -478,14 +472,3 @@ def pi_delta(schemes) -> int:
 def total_pairs(scheme: RealScheme) -> int:
     """Every injective pair joins a nest oval with its interior: one per oval."""
     return sum(scheme.alpha)
-
-
-def iter_permutations() -> Iterator[tuple[int, int, int]]:
-    yield from (
-        (0, 1, 2),
-        (0, 2, 1),
-        (1, 0, 2),
-        (1, 2, 0),
-        (2, 0, 1),
-        (2, 1, 0),
-    )

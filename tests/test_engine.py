@@ -1,5 +1,6 @@
 """Elimination engine: candidate spaces, traces, theorem drivers."""
 
+import hashlib
 import itertools
 import json
 
@@ -35,7 +36,6 @@ from nestprohibitor.schemes import (
     Jump,
     NestScheme,
     RealScheme,
-    iter_permutations,
     nest_complex_types,
 )
 
@@ -349,7 +349,7 @@ class TestTraceProperties:
         patterns = [FIG20_ROWS[3], FIG20_ROWS[6], FIG20_ROWS[1]]
         for row in patterns:
             outcomes = set()
-            for perm in iter_permutations():
+            for perm in itertools.permutations(range(3)):
                 permuted_scheme = RealScheme(
                     tuple(scheme.alpha[p] for p in perm), scheme.beta
                 )
@@ -398,6 +398,11 @@ class TestAblation:
                 assert ablated == "survives"
 
 
+# SHA-256 of json.dumps of every theorem-1 trace, in scheme order (the
+# theorem1 reference of bench/README.md).
+THEOREM1_TRACE_SHA256 = "9521f039953ad3eb69d61f0e24b9c88a1414f51b21ffcc5f0ea74a4d8496dd87"
+
+
 @pytest.fixture(scope="module")
 def theorem1_report():
     return prove_theorem1()
@@ -438,13 +443,22 @@ class TestTheorem1:
         report = prove_theorem1(ablate=("lambda0_bound",))
         assert not report.all_excluded
 
-    def test_thread_cap_preserves_results(self, monkeypatch, report):
-        monkeypatch.setenv("NEST_PROHIBITOR_THREADS", "4")
-        schemes = [r.scheme for r in report.results[:6]]
-        threaded = prove_theorem1(schemes=schemes)
-        assert [r.to_json_dict() for r in threaded.results] == [
-            r.to_json_dict() for r in report.results[:6]
-        ]
+    def test_trace_hash_is_pinned(self, report):
+        traces = [t.to_json_dict() for r in report.results for t in r.traces]
+        digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
+        assert digest == THEOREM1_TRACE_SHA256
+
+    def test_every_closure_replays(self, report):
+        for result in report.results:
+            for trace in result.traces:
+                closures = list(trace.stage_closures)
+                for branch in trace.branches:
+                    closures.extend(branch.closures)
+                for closure in closures:
+                    assert replay_violation(closure.rule_id, closure.evidence), (
+                        trace.candidate,
+                        closure,
+                    )
 
 
 class TestProposition2:
@@ -481,6 +495,10 @@ class TestProposition2:
             assert residuals and set(residuals) == {-1}
         # the all-odd row is closed purely by unreachable corner values
         assert {c.rule_id for c in rows[2].closures} == {"lemma10"}
+
+    def test_unknown_ablation_raises(self):
+        with pytest.raises(KeyError):
+            prove_proposition2(ablate=("bogus",))
 
     def test_row4_annotation(self, report):
         row4 = report.rows[3]

@@ -322,6 +322,106 @@ class TestInformationMonotonicity:
                 assert after[rule_id].status == VIOLATED
 
 
+def _moved(evidence, **changes):
+    return {**evidence, **changes}
+
+
+_JUMP_STAGE = {
+    "pi_delta": 2,
+    "nu3": 1,
+    "crossing": None,
+    "reason": "every case requires Pi_delta in {3, 4} with matching sign data",
+}
+_JUMP_OPEN = {"pi_delta": 3, "open_cases": [2], "deficit": -1, "lambda045": 0, "lambda6": 1}
+_REFINEMENT = {"lambda0": 3, "tier": "lemma16-refinement"}
+_NON_SEPARATING = {**_REFINEMENT, "reason": "non-separating nest"}
+_EPSILON_SUM = {**_REFINEMENT, "reason": "epsilon sum", "epsilon_sum": -4}
+_NO_EMPTY_QUAD = {**_REFINEMENT, "reason": "no empty quadrangle"}
+_TRIANGLE_DEFICIT = {"zone": "T2", "lambda": 3, "deficit": -3}
+_TRIANGLE_REASON = {"zone": "T2", "lambda": -3, "reason": "+3 is forced at magnitude 3"}
+_DEFICIT_IDENTITY = {
+    "reason": "the deficit identity fails outright",
+    "deficit_required": -2,
+    "deficit_forced": 0,
+}
+_BUDGET = {
+    "reason": "oval budget cannot realize the identities",
+    "required_budget": 2,
+    "budget": 0,
+    "lambda": [0, -1, 0, 0, 0, 0, 1],
+}
+_UNREACHABLE = {"zone": "T3", "required": 1, "reachable": [0], "unreachable": True}
+_EXTERIOR = {"zone": "T0", "e_value": -4, "population": 1}
+_SEPARATING = {"nest": 1, "f": -1, "g_sum": 0, "residual": -1}
+
+# Every evidence shape the engine emits: a recorded violation, and the same
+# evidence with one number moved so that it no longer violates.
+REPLAY_SHAPES = [
+    pytest.param("jump", _JUMP_STAGE, _moved(_JUMP_STAGE, pi_delta=3), id="jump-stage"),
+    pytest.param("jump", _JUMP_OPEN, _moved(_JUMP_OPEN, lambda045=-1), id="jump-open-cases"),
+    pytest.param(
+        "lambda0_bound",
+        {"lambda0": -4, "tier": "lemma16"},
+        {"lambda0": -3, "tier": "lemma16"},
+        id="lambda0-lemma16",
+    ),
+    pytest.param(
+        "lambda0_bound",
+        {"lambda0": 3, "tier": "prop2"},
+        {"lambda0": 2, "tier": "prop2"},
+        id="lambda0-prop2",
+    ),
+    pytest.param(
+        "lambda0_bound", _NON_SEPARATING, _moved(_NON_SEPARATING, lambda0=2),
+        id="lambda0-non-separating",
+    ),
+    pytest.param(
+        "lambda0_bound", _EPSILON_SUM, _moved(_EPSILON_SUM, epsilon_sum=-6),
+        id="lambda0-epsilon-sum",
+    ),
+    pytest.param(
+        "lambda0_bound", _NO_EMPTY_QUAD, _moved(_NO_EMPTY_QUAD, lambda0=2),
+        id="lambda0-no-empty-quadrangle",
+    ),
+    pytest.param(
+        "triangle_bound",
+        {"zone": "T1", "lambda": 5},
+        {"zone": "T1", "lambda": 2},
+        id="triangle-plain",
+    ),
+    pytest.param(
+        "triangle_bound", _TRIANGLE_DEFICIT, _moved(_TRIANGLE_DEFICIT, deficit=-2),
+        id="triangle-deficit",
+    ),
+    pytest.param(
+        "triangle_bound", _TRIANGLE_REASON, _moved(_TRIANGLE_REASON, **{"lambda": -2}),
+        id="triangle-reason",
+    ),
+    pytest.param(
+        "lemma10",
+        {"residuals": [0, 0, 1, 0, 0]},
+        {"residuals": [0, 0, 0, 0, 0]},
+        id="lemma10-residuals",
+    ),
+    pytest.param(
+        "lemma10", _DEFICIT_IDENTITY, _moved(_DEFICIT_IDENTITY, deficit_forced=-2),
+        id="lemma10-deficit-required",
+    ),
+    pytest.param("lemma10", _BUDGET, _moved(_BUDGET, budget=2), id="lemma10-required-budget"),
+    pytest.param(
+        "lemma10", _UNREACHABLE, _moved(_UNREACHABLE, required=0), id="lemma10-unreachable"
+    ),
+    pytest.param("exterior_zone", _EXTERIOR, _moved(_EXTERIOR, e_value=0), id="exterior-zone"),
+    pytest.param("separating", _SEPARATING, _moved(_SEPARATING, f=0), id="separating"),
+    pytest.param(
+        "empty_triangles",
+        {"schemes": ["(+, -)", "(-, +)", "(-, +)"]},
+        {"schemes": ["(+, -)", "(-, +)", "(-, +, +)"]},
+        id="empty-triangles",
+    ),
+]
+
+
 class TestReplay:
     def test_replay_accepts_recorded_violations(self):
         samples = [
@@ -342,3 +442,8 @@ class TestReplay:
         assert not replay_violation(
             "empty_triangles", {"schemes": ["(+, -)", "(-, +)", "(-, +, +)"]}
         )
+
+    @pytest.mark.parametrize("rule_id, accepted, rejected", REPLAY_SHAPES)
+    def test_every_evidence_shape(self, rule_id, accepted, rejected):
+        assert replay_violation(rule_id, accepted)
+        assert not replay_violation(rule_id, rejected)
