@@ -44,7 +44,7 @@ def _cmd_check(args) -> int:
             # ValueError covers json.JSONDecodeError and LedgerError.
             print(f"error: ledger {args.ledger}: {err}", file=sys.stderr)
             return EXIT_USAGE
-        candidate = Candidate(scheme=scheme, ledger=ledger)
+        candidate = Candidate(ledger=ledger)
         for rule_id, verdict in evaluate_all(candidate).items():
             line = f"{rule_id}: {verdict.status}"
             if verdict.evidence:

@@ -34,15 +34,21 @@ from .rules import (
     Candidate,
     RULES,
     VIOLATED,
+    _budget_violation,
+    _deficit_identity_violation,
     _empty_triangles_violation,
+    _exterior_zone_violation,
     _jump_violation,
     _lambda0_violation,
+    _separating_violation,
     _triangle_violation,
+    _unreachable_violation,
     check_rule_ids,
     evaluate_all,
     jump_cases_open,
 )
 from .schemes import (
+    EMPTY_OVALS,
     MINUS,
     OVALS,
     PLUS,
@@ -274,6 +280,8 @@ class CandidateSpace:
             raise EngineError("candidate nests do not match the scheme")
         if self.scheme.beta > MAX_ZONE_POP or max(self.scheme.alpha) > MAX_ZONE_POP:
             raise EngineError(f"zone population bound {MAX_ZONE_POP} exceeded")
+        if sum(self.scheme.alpha) + self.scheme.beta != EMPTY_OVALS:
+            raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
 
 
 def _signed_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -370,7 +378,6 @@ class _Search:
         self.ct = space.curve_type
         self.scheme = space.scheme
         self.ablate = set(ablate)
-        self.required_case = required_case
         self.schemes = self.ct.schemes
         self.beta = self.scheme.beta
         self.pd = pi_delta(self.schemes)
@@ -379,6 +386,15 @@ class _Search:
             self.zones = (0, 1, 2, 3)
         else:
             self.zones = allowed_zones(*self.schemes)
+        # Candidate-level inputs of the per-assignment checks; None where the
+        # rule is ablated or, for the jump's numeric tier, does not apply.
+        self.empty_triangles = self.open_cases = None
+        if self.active("empty_triangles"):
+            self.empty_triangles = _empty_triangles_violation(self.schemes)
+        if self.ct.jump is not None and self.active("jump"):
+            cases = jump_cases_open(self.pd, self.schemes[2].nu, self.ct.jump.crossing)
+            self.open_cases = [c for c in cases if required_case in (None, c)]
+        self.all_separating = all(ct.separating for ct in self.ct.nests)
 
     def active(self, rule_id: str) -> bool:
         return rule_id not in self.ablate
@@ -440,11 +456,9 @@ class _Search:
         forced_empty = (
             not self.zones or self.beta == 0
         ) and pop_t0 == 0 and not any(pops_t)
-        if forced_empty and self.active("empty_triangles"):
-            violation = _empty_triangles_violation(self.schemes)
-            if violation:
-                close("empty_triangles", violation)
-                return list(closures.values()), checked, None
+        if forced_empty and self.empty_triangles:
+            close("empty_triangles", self.empty_triangles)
+            return list(closures.values()), checked, None
 
         deficit_rhs = None
         if self.identities:
@@ -474,14 +488,7 @@ class _Search:
         if not any_assignment:
             # only possible with no free zone at all: the deficit identity
             # fails on the forced values
-            close(
-                "lemma10",
-                {
-                    "reason": "the deficit identity fails outright",
-                    "deficit_required": self.pd - 4,
-                    "deficit_forced": sh0 - sum(sh_t),
-                },
-            )
+            close("lemma10", _deficit_identity_violation(self.pd - 4, sh0 - sum(sh_t)))
         return list(closures.values()), checked, None
 
     def _check_assignment(
@@ -491,22 +498,15 @@ class _Search:
         triangles_empty = (
             all(v == 0 for v in xt.values()) and pop_t0 == 0 and not any(pops_t)
         )
-        if triangles_empty and self.active("empty_triangles"):
-            violation = _empty_triangles_violation(self.schemes)
-            if violation:
-                close("empty_triangles", violation)
-                return None
+        if triangles_empty and self.empty_triangles:
+            close("empty_triangles", self.empty_triangles)
+            return None
 
         # Jump trichotomy, numeric tier.
-        if self.ct.jump is not None and self.active("jump"):
-            open_cases = jump_cases_open(
-                self.pd, self.schemes[2].nu, self.ct.jump.crossing
-            )
-            if self.required_case is not None:
-                open_cases = [c for c in open_cases if c == self.required_case]
+        if self.open_cases is not None:
             violation = _jump_violation(
                 self.pd,
-                open_cases,
+                self.open_cases,
                 lam0 - sum(lam456),
                 lam0 - lam456[0] - lam456[1],
                 lam456[2],
@@ -515,20 +515,19 @@ class _Search:
                 close("jump", violation)
                 return None
 
-        lam123 = _identity_lambdas(lam0, lam456, eps) if self.identities else None
+        pinned = _identity_lambdas(lam0, lam456, eps)
 
         # Central-triangle bound with its magnitude-3 refinements.
         if self.active("lambda0_bound"):
-            all_sep = all(ct.separating for ct in self.ct.nests)
             emptiable = None
-            if lam123 is not None:
+            if self.identities:
                 emptiable = tuple(
                     q
                     for q in (1, 2, 3)
-                    if quad_net[q] == 0 and lam123[q - 1] == 0
+                    if quad_net[q] == 0 and pinned[q - 1] == 0
                 )
             violation = _lambda0_violation(
-                lam0, False, all_sep, sum(eps), emptiable
+                lam0, False, self.all_separating, sum(eps), emptiable
             )
             if violation:
                 close("lambda0_bound", violation)
@@ -544,51 +543,32 @@ class _Search:
                     return None
 
         return self._feasible_ledger(
-            branches, eps, xt, lam0, lam456, lam123, quad_net, pop_t0, pops_t, close
+            branches, eps, xt, lam0, lam456, pinned, quad_net, pop_t0, pops_t, close
         )
 
     def _feasible_ledger(
-        self, branches, eps, xt, lam0, lam456, lam123, quad_net, pop_t0, pops_t, close
+        self, branches, eps, xt, lam0, lam456, pinned, quad_net, pop_t0, pops_t, close
     ) -> Optional[OrientationLedger]:
         beta = self.beta
         ext_used = sum(abs(v) for v in xt.values())
-        pinned = lam123 if lam123 is not None else _identity_lambdas(lam0, lam456, eps)
         y_pinned = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
-        pinned_cost = ext_used + sum(abs(v) for v in y_pinned)
-        pinned_ok = pinned_cost <= beta and (beta - pinned_cost) % 2 == 0
-        if lam123 is not None:
-            if not pinned_ok:
-                close(
-                    "lemma10",
-                    {
-                        "reason": "oval budget cannot realize the identities",
-                        "required_budget": pinned_cost
-                        if pinned_cost > beta
-                        else pinned_cost + 1,
-                        "budget": beta,
-                        "lambda": [lam0, *lam123, *lam456],
-                    },
-                )
-                return None
-            y = y_pinned
-        elif pinned_ok:
-            # identities are ablated, but their solution is still the
-            # preferred witness shape (keeps ablation monotone)
+        # The cost always has the parity of beta: mod 2 it is the sum of the
+        # branch shares, alpha_i + 1 per nest, and sum(alpha) + beta = 25
+        # (see CandidateSpace).  So the budget test is the bound alone.
+        over_budget = _budget_violation(
+            ext_used + sum(abs(v) for v in y_pinned), beta, (lam0, *pinned, *lam456)
+        )
+        if not over_budget:
+            # the identities' solution, the preferred witness shape even
+            # when they are ablated (keeps ablation monotone)
             lam123, y = pinned, y_pinned
+        elif self.identities:
+            close("lemma10", over_budget)
+            return None
         else:
-            if ext_used > beta:
-                close(
-                    "lemma10",
-                    {
-                        "reason": "exterior placement exceeds the oval budget",
-                        "required_budget": ext_used,
-                        "budget": beta,
-                    },
-                )
-                return None
-            # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1
-            leftover = beta - ext_used
-            y = [leftover % 2, 0, 0]
+            # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1;
+            # with no deficit identity every net keeps within beta
+            y = [(beta - ext_used) % 2, 0, 0]
             lam123 = tuple(quad_net[q] + y[q - 1] for q in (1, 2, 3))
 
         lam = (lam0, *lam123, *lam456)
@@ -607,7 +587,7 @@ class _Search:
             quad_int[zk] += abs(b.w[1])
         for q in (1, 2, 3):
             pops[q] = abs(y[q - 1]) + quad_int[q]
-        pops[1] += max(leftover, 0)
+        pops[1] += leftover
 
         eps6 = tuple(eps)
         lambda_delta = sum(lam) + sum(eps6)
@@ -627,7 +607,6 @@ class _Search:
 
         candidate = Candidate(
             curve_type=self.ct,
-            scheme=self.scheme,
             ledger=ledger,
             t0_only_exterior=True,
             t_only_exterior=(True, True, True),
@@ -847,16 +826,9 @@ def prove_proposition2(ablate: tuple[str, ...] = ()) -> Prop2Report:
             # Chain shares move lambda_0 by at most 1 per even nest, so
             # exterior ovals must populate T0, against the residual.
             max_share = sum(1 for s in triple if s.alpha % 2 == 0)
-            forced = abs(lam0) - max_share
-            if forced <= 0:
-                closed = False
-            elif "exterior_zone" not in ablated:
-                closures.append(
-                    Closure(
-                        "exterior_zone",
-                        {"zone": "T0", "e_value": e0, "population": forced},
-                    )
-                )
+            violation = _exterior_zone_violation(0, e0, abs(lam0) - max_share)
+            if violation and "exterior_zone" not in ablated:
+                closures.append(Closure("exterior_zone", violation))
             else:
                 closed = False
         else:
@@ -868,18 +840,10 @@ def prove_proposition2(ablate: tuple[str, ...] = ()) -> Prop2Report:
                 target = sign  # identity q with lambda_0 = +-3 and empty Q_q
                 nest = triple[q - 1]
                 if nest.alpha % 2:
-                    if "lemma10" not in ablated:
-                        closures.append(
-                            Closure(
-                                "lemma10",
-                                {
-                                    "zone": f"T{q}",
-                                    "required": target,
-                                    "reachable": [0],
-                                    "unreachable": True,
-                                },
-                            )
-                        )
+                    # an odd nest contributes nothing to its corner
+                    violation = _unreachable_violation(q, target, (0,))
+                    if violation and "lemma10" not in ablated:
+                        closures.append(Closure("lemma10", violation))
                     else:
                         closed = False
                     continue
@@ -888,23 +852,11 @@ def prove_proposition2(ablate: tuple[str, ...] = ()) -> Prop2Report:
                 tag = "u" if target > 0 else "d"
                 ct = ComplexType(nest, tag)
                 j, k = (x for x in range(3) if x != q - 1)
-                residual = (
-                    f_value(ct)
-                    - g_value(triple[j])
-                    - g_value(triple[k])
+                violation = _separating_violation(
+                    q, f_value(ct), g_value(triple[j]) + g_value(triple[k])
                 )
-                if residual != 0 and "separating" not in ablated:
-                    closures.append(
-                        Closure(
-                            "separating",
-                            {
-                                "nest": q,
-                                "f": f_value(ct),
-                                "g_sum": f_value(ct) - residual,
-                                "residual": residual,
-                            },
-                        )
-                    )
+                if violation and "separating" not in ablated:
+                    closures.append(Closure("separating", violation))
                 else:
                     closed = False
         rows.append(Prop2Row(tuple(triple), e0, closed, tuple(closures), note))

@@ -9,10 +9,14 @@ exterior ovals" arrive as flags set by the caller.
 Citations name entries of the axiom registry listed in the README; the
 rules encode those statements, not their proofs.
 
-Each violation test is one pure function over plain numbers that returns
-the evidence dict or None (`_lambda0_violation`, `_triangle_violation`,
-`_empty_triangles_violation`, `jump_cases_open`, `_jump_violation`); the
-rule adapters, the engine's search and `replay_violation` all call it.
+Only this module shapes evidence: each shape has one pure predicate over
+plain numbers that returns the exact evidence dict or None.  They are
+`_rm_violation`, `_identities_violation`, `_deficit_identity_violation`,
+`_budget_violation`, `_unreachable_violation` (the four lemma10 shapes),
+`_lambda0_violation`, `_triangle_violation`, `_exterior_zone_violation`,
+`_separating_violation`, `_empty_triangles_violation`, `_jump_stage_violation`
+and `_jump_violation`.  The rule adapters, the engine and `replay_violation`
+call them; replay re-runs one on the inputs the evidence records.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .schemes import (
     PLUS,
     CurveType,
     NestScheme,
-    RealScheme,
     pi_delta,
 )
 
@@ -42,7 +45,6 @@ class Candidate:
     """Everything a rule may look at; unset parts make rules inapplicable."""
 
     curve_type: Optional[CurveType] = None
-    scheme: Optional[RealScheme] = None
     ledger: Optional[OrientationLedger] = None
     t0_only_exterior: Optional[bool] = None
     t_only_exterior: tuple[Optional[bool], Optional[bool], Optional[bool]] = (
@@ -79,30 +81,71 @@ class Rule:
         return self.check(candidate)
 
 
-def _verdict(rule_id, status, evidence=None, info=None) -> RuleVerdict:
-    return RuleVerdict(rule_id, status, evidence, info)
+def _judged(rule_id: str, violation: Optional[dict], info=None) -> RuleVerdict:
+    """VIOLATED with the predicate's evidence, else SATISFIED."""
+    if violation:
+        return RuleVerdict(rule_id, VIOLATED, violation, info)
+    return RuleVerdict(rule_id, SATISFIED, info=info)
 
 
 # ---------------------------------------------------------------------------
 # Individual rules
 
 
+def _rm_violation(residual: int) -> Optional[dict]:
+    return {"residual": residual} if residual != 0 else None
+
+
 def rule_rm(c: Candidate) -> RuleVerdict:
     if c.ledger is None:
-        return _verdict("rm", INAPPLICABLE)
-    r = rm_residual(c.ledger)
-    if r != 0:
-        return _verdict("rm", VIOLATED, {"residual": r})
-    return _verdict("rm", SATISFIED)
+        return RuleVerdict("rm", INAPPLICABLE)
+    return _judged("rm", _rm_violation(rm_residual(c.ledger)))
+
+
+def _identities_violation(residuals) -> Optional[dict]:
+    """The five zone-contribution identities, as residuals."""
+    return {"residuals": list(residuals)} if any(residuals) else None
+
+
+def _deficit_identity_violation(deficit_required: int, deficit_forced: int) -> Optional[dict]:
+    """The deficit identity on a branch whose lambda values are all forced."""
+    if deficit_required == deficit_forced:
+        return None
+    return {
+        "reason": "the deficit identity fails outright",
+        "deficit_required": deficit_required,
+        "deficit_forced": deficit_forced,
+    }
+
+
+def _budget_violation(required_budget: int, budget: int, lam) -> Optional[dict]:
+    """The identities' quadrangle values need more ovals than beta."""
+    if required_budget <= budget:
+        return None
+    return {
+        "reason": "oval budget cannot realize the identities",
+        "required_budget": required_budget,
+        "budget": budget,
+        "lambda": list(lam),
+    }
+
+
+def _unreachable_violation(zone: int, required: int, reachable) -> Optional[dict]:
+    """An identity forces a corner value that no chain branch reaches."""
+    if required in reachable:
+        return None
+    return {
+        "zone": f"T{zone}",
+        "required": required,
+        "reachable": list(reachable),
+        "unreachable": True,
+    }
 
 
 def rule_lemma10(c: Candidate) -> RuleVerdict:
     if c.ledger is None:
-        return _verdict("lemma10", INAPPLICABLE)
-    residuals = lemma10_residuals(c.ledger)
-    if any(residuals):
-        return _verdict("lemma10", VIOLATED, {"residuals": list(residuals)})
-    return _verdict("lemma10", SATISFIED)
+        return RuleVerdict("lemma10", INAPPLICABLE)
+    return _judged("lemma10", _identities_violation(lemma10_residuals(c.ledger)))
 
 
 def _lambda0_violation(
@@ -143,7 +186,7 @@ def _lambda0_violation(
 
 def rule_lambda0_bound(c: Candidate) -> RuleVerdict:
     if c.ledger is None or c.t0_only_exterior is not True:
-        return _verdict("lambda0_bound", INAPPLICABLE)
+        return RuleVerdict("lambda0_bound", INAPPLICABLE)
     lambda0 = c.ledger.lam[0]
     # The magnitude-3 refinements engage only when the candidate carries
     # separating/quadrangle information, i.e. a curve type.
@@ -154,10 +197,10 @@ def rule_lambda0_bound(c: Candidate) -> RuleVerdict:
         all_sep = all(ct.separating for ct in c.curve_type.nests)
         eps_sum = sum(c.ledger.eps)
         emptiable = tuple(q for q in (1, 2, 3) if c.ledger.zone_pop[q] == 0)
-    violation = _lambda0_violation(lambda0, c.prop2_tier, all_sep, eps_sum, emptiable)
-    if violation:
-        return _verdict("lambda0_bound", VIOLATED, violation)
-    return _verdict("lambda0_bound", SATISFIED)
+    return _judged(
+        "lambda0_bound",
+        _lambda0_violation(lambda0, c.prop2_tier, all_sep, eps_sum, emptiable),
+    )
 
 
 def _triangle_violation(value: int, deficit: int, zone: int) -> Optional[dict]:
@@ -173,7 +216,7 @@ def _triangle_violation(value: int, deficit: int, zone: int) -> Optional[dict]:
 def rule_triangle_bound(c: Candidate, i: Optional[int] = None) -> RuleVerdict:
     """Bound on one corner triangle (i in 1..3), or all flagged ones."""
     if c.ledger is None:
-        return _verdict("triangle_bound", INAPPLICABLE)
+        return RuleVerdict("triangle_bound", INAPPLICABLE)
     indices = (i,) if i is not None else (1, 2, 3)
     deficit = lambda_deficit(c.ledger)
     checked = False
@@ -183,50 +226,55 @@ def rule_triangle_bound(c: Candidate, i: Optional[int] = None) -> RuleVerdict:
         checked = True
         violation = _triangle_violation(c.ledger.lam[3 + idx], deficit, idx)
         if violation:
-            return _verdict("triangle_bound", VIOLATED, violation)
+            return _judged("triangle_bound", violation)
     if not checked:
-        return _verdict("triangle_bound", INAPPLICABLE)
-    return _verdict("triangle_bound", SATISFIED)
+        return RuleVerdict("triangle_bound", INAPPLICABLE)
+    return _judged("triangle_bound", None)
+
+
+def _exterior_zone_violation(zone: int, e_value: int, population: int) -> Optional[dict]:
+    """Exterior ovals in triangle T_zone against a nonzero residual E_zone."""
+    if population > 0 and e_value != 0:
+        return {"zone": f"T{zone}", "e_value": e_value, "population": population}
+    return None
 
 
 def rule_exterior_zone(c: Candidate) -> RuleVerdict:
     if c.curve_type is None:
-        return _verdict("exterior_zone", INAPPLICABLE)
+        return RuleVerdict("exterior_zone", INAPPLICABLE)
     schemes = c.curve_type.schemes
     zones = allowed_zones(*schemes)
     info = {"allowed": list(zones)}
     if c.exterior_triangle_pops is None:
-        return _verdict("exterior_zone", INAPPLICABLE, info=info)
+        return RuleVerdict("exterior_zone", INAPPLICABLE, info=info)
     e = e_values(*schemes)
     for z, pop in enumerate(c.exterior_triangle_pops):
-        if pop > 0 and e[z] != 0:
-            return _verdict(
-                "exterior_zone",
-                VIOLATED,
-                {"zone": f"T{z}", "e_value": e[z], "population": pop},
-                info=info,
-            )
-    return _verdict("exterior_zone", SATISFIED, info=info)
+        violation = _exterior_zone_violation(z, e[z], pop)
+        if violation:
+            return _judged("exterior_zone", violation, info)
+    return _judged("exterior_zone", None, info)
+
+
+def _separating_violation(nest: int, f: int, g_sum: int) -> Optional[dict]:
+    """F of separating nest `nest` (1-based) against G_j + G_k."""
+    if f == g_sum:
+        return None
+    return {"nest": nest, "f": f, "g_sum": g_sum, "residual": f - g_sum}
 
 
 def rule_separating(c: Candidate) -> RuleVerdict:
     if c.curve_type is None:
-        return _verdict("separating", INAPPLICABLE)
-    sep = [i for i, ct in enumerate(c.curve_type.nests) if ct.separating]
+        return RuleVerdict("separating", INAPPLICABLE)
+    nests = c.curve_type.nests
+    sep = [i for i, ct in enumerate(nests) if ct.separating]
     if not sep:
-        return _verdict("separating", INAPPLICABLE)
+        return RuleVerdict("separating", INAPPLICABLE)
     for i in sep:
-        j, k = [x for x in range(3) if x != i]
-        sj, sk = c.curve_type.nests[j].scheme, c.curve_type.nests[k].scheme
-        f = f_value(c.curve_type.nests[i])
-        g_sum = g_value(sj) + g_value(sk)
-        if f != g_sum:
-            return _verdict(
-                "separating",
-                VIOLATED,
-                {"nest": i + 1, "f": f, "g_sum": g_sum, "residual": f - g_sum},
-            )
-    return _verdict("separating", SATISFIED)
+        g_sum = sum(g_value(nests[j].scheme) for j in range(3) if j != i)
+        violation = _separating_violation(i + 1, f_value(nests[i]), g_sum)
+        if violation:
+            return _judged("separating", violation)
+    return _judged("separating", None)
 
 
 def _empty_triangles_violation(schemes: tuple[NestScheme, ...]) -> Optional[dict]:
@@ -247,11 +295,8 @@ def _empty_triangles_violation(schemes: tuple[NestScheme, ...]) -> Optional[dict
 
 def rule_empty_triangles(c: Candidate) -> RuleVerdict:
     if c.curve_type is None or c.triangles_empty is not True:
-        return _verdict("empty_triangles", INAPPLICABLE)
-    violation = _empty_triangles_violation(c.curve_type.schemes)
-    if violation:
-        return _verdict("empty_triangles", VIOLATED, violation)
-    return _verdict("empty_triangles", SATISFIED)
+        return RuleVerdict("empty_triangles", INAPPLICABLE)
+    return _judged("empty_triangles", _empty_triangles_violation(c.curve_type.schemes))
 
 
 def jump_cases_open(pd: int, nu3: int, crossing: Optional[bool]) -> list[int]:
@@ -264,6 +309,18 @@ def jump_cases_open(pd: int, nu3: int, crossing: Optional[bool]) -> list[int]:
     if pd == 3 and nu3 == MINUS and crossing is not True:
         cases.append(3)
     return cases
+
+
+def _jump_stage_violation(pi_delta: int, nu3: int, crossing: Optional[bool]) -> Optional[dict]:
+    """Stage tier: no case of the trichotomy is open on candidate data."""
+    if jump_cases_open(pi_delta, nu3, crossing):
+        return None
+    return {
+        "pi_delta": pi_delta,
+        "nu3": nu3,
+        "crossing": crossing,
+        "reason": "every case requires Pi_delta in {3, 4} with matching sign data",
+    }
 
 
 def _jump_violation(
@@ -287,31 +344,19 @@ def _jump_violation(
 
 def rule_jump(c: Candidate) -> RuleVerdict:
     if c.curve_type is None or c.curve_type.jump is None:
-        return _verdict("jump", INAPPLICABLE)
+        return RuleVerdict("jump", INAPPLICABLE)
     schemes = c.curve_type.schemes
     pd = pi_delta(schemes)
     nu3 = schemes[2].nu
     crossing = c.curve_type.jump.crossing
+    violation = _jump_stage_violation(pd, nu3, crossing)
     open_cases = jump_cases_open(pd, nu3, crossing)
-    if not open_cases:
-        return _verdict(
-            "jump",
-            VIOLATED,
-            {
-                "pi_delta": pd,
-                "nu3": nu3,
-                "crossing": crossing,
-                "reason": "every case requires Pi_delta in {3, 4} with matching sign data",
-            },
-        )
-    if c.ledger is not None:
+    if violation is None and c.ledger is not None:
         lam = c.ledger.lam
         violation = _jump_violation(
             pd, open_cases, lambda_deficit(c.ledger), lam[0] - lam[4] - lam[5], lam[6]
         )
-        if violation:
-            return _verdict("jump", VIOLATED, violation)
-    return _verdict("jump", SATISFIED, info={"open_cases": open_cases})
+    return _judged("jump", violation, None if violation else {"open_cases": open_cases})
 
 
 # ---------------------------------------------------------------------------
@@ -416,52 +461,50 @@ def _parse_short_scheme(text: str) -> NestScheme:
     return NestScheme(nu, a_plus, a_plus - diff)
 
 
-def replay_violation(rule_id: str, evidence: dict) -> bool:
-    """Re-derive a recorded violation from its own numbers, in isolation."""
+def _rederive(rule_id: str, e: dict) -> Optional[dict]:
+    """The rule's predicate re-run on the inputs that the evidence records."""
     if rule_id == "rm":
-        return evidence["residual"] != 0
+        return _rm_violation(e["residual"])
     if rule_id == "lemma10":
-        if "residuals" in evidence:
-            return any(evidence["residuals"])
-        if "deficit_required" in evidence:
-            return evidence["deficit_required"] != evidence["deficit_forced"]
-        if "required_budget" in evidence:
-            return (
-                evidence["required_budget"] > evidence["budget"]
-                or (evidence["budget"] - evidence["required_budget"]) % 2 != 0
-            )
-        if "unreachable" in evidence:
-            return evidence["required"] not in evidence["reachable"]
-        return False
+        if "residuals" in e:
+            return _identities_violation(e["residuals"])
+        if "deficit_required" in e:
+            return _deficit_identity_violation(e["deficit_required"], e["deficit_forced"])
+        if "required_budget" in e:
+            return _budget_violation(e["required_budget"], e["budget"], e["lambda"])
+        return _unreachable_violation(int(e["zone"][1:]), e["required"], e["reachable"])
     if rule_id == "lambda0_bound":
-        reason = evidence.get("reason")
-        return (
-            _lambda0_violation(
-                evidence["lambda0"],
-                evidence.get("tier") == "prop2",
-                False if reason == "non-separating nest" else None,
-                evidence.get("epsilon_sum"),
-                () if reason == "no empty quadrangle" else None,
-            )
-            is not None
+        reason = e.get("reason")
+        return _lambda0_violation(
+            e["lambda0"],
+            e["tier"] == "prop2",
+            False if reason == "non-separating nest" else None,
+            e.get("epsilon_sum"),
+            () if reason == "no empty quadrangle" else None,
         )
     if rule_id == "triangle_bound":
-        zone = int(evidence["zone"][1])
-        return (
-            _triangle_violation(evidence["lambda"], evidence.get("deficit", -4), zone)
-            is not None
-        )
+        return _triangle_violation(e["lambda"], e.get("deficit"), int(e["zone"][1:]))
     if rule_id == "exterior_zone":
-        return evidence["e_value"] != 0 and evidence["population"] > 0
+        return _exterior_zone_violation(int(e["zone"][1:]), e["e_value"], e["population"])
     if rule_id == "separating":
-        return evidence["residual"] != 0 and evidence["residual"] == evidence["f"] - evidence["g_sum"]
+        return _separating_violation(e["nest"], e["f"], e["g_sum"])
     if rule_id == "empty_triangles":
-        schemes = tuple(_parse_short_scheme(s) for s in evidence["schemes"])
-        return _empty_triangles_violation(schemes) is not None
-    if rule_id == "jump":
-        if "open_cases" in evidence:
-            return _jump_violation(**evidence) is not None
-        return not jump_cases_open(
-            evidence["pi_delta"], evidence["nu3"], evidence["crossing"]
-        )
-    raise KeyError(f"unknown rule id {rule_id!r}")
+        return _empty_triangles_violation(tuple(_parse_short_scheme(s) for s in e["schemes"]))
+    # jump: the open cases must be ones that Pi_delta leaves open
+    if "open_cases" not in e:
+        return _jump_stage_violation(e["pi_delta"], e["nu3"], e["crossing"])
+    pd = e["pi_delta"]
+    possible = {*jump_cases_open(pd, PLUS, None), *jump_cases_open(pd, MINUS, None)}
+    if not set(e["open_cases"]) <= possible:
+        return None
+    return _jump_violation(pd, e["open_cases"], e["deficit"], e["lambda045"], e["lambda6"])
+
+
+def replay_violation(rule_id: str, evidence: dict) -> bool:
+    """True when the rule's predicate, re-run on the inputs the evidence
+    records, returns that evidence exactly; malformed evidence is False."""
+    check_rule_ids([rule_id])
+    try:
+        return _rederive(rule_id, evidence) == evidence
+    except (KeyError, TypeError, ValueError):
+        return False

@@ -216,7 +216,6 @@ class TestCriterion6Properties:
     def test_c_permutation_invariance_of_verdicts(self):
         # An asymmetric ledger exercising both satisfied and violated rules:
         # statuses must agree under every simultaneous nest/zone relabeling.
-        scheme = RealScheme((2, 4, 6), 13)
         base = CurveType(
             (
                 balanced_type(MINUS, 2, "d"),
@@ -236,10 +235,9 @@ class TestCriterion6Properties:
         )
         t_pops = (1, 0, 2, 1)
 
-        def verdicts_for(ct, sch, led, pops):
+        def verdicts_for(ct, led, pops):
             candidate = Candidate(
                 curve_type=ct,
-                scheme=sch,
                 ledger=led,
                 t0_only_exterior=True,
                 t_only_exterior=(True, True, True),
@@ -248,17 +246,13 @@ class TestCriterion6Properties:
             )
             return {rid: v.status for rid, v in evaluate_all(candidate).items()}
 
-        base_verdicts = verdicts_for(base, scheme, ledger, t_pops)
+        base_verdicts = verdicts_for(base, ledger, t_pops)
         assert VIOLATED in base_verdicts.values()  # the case is non-trivial
         for perm in itertools.permutations(range(3)):
             permuted_ct = CurveType(tuple(base.nests[p] for p in perm))
-            permuted_scheme = RealScheme(
-                tuple(scheme.alpha[p] for p in perm), scheme.beta
-            )
             permuted_pops = (t_pops[0],) + tuple(t_pops[1 + perm[i]] for i in range(3))
             verdicts = verdicts_for(
                 permuted_ct,
-                permuted_scheme,
                 permute_ledger(ledger, perm),
                 permuted_pops,
             )

@@ -37,6 +37,7 @@ from nestprohibitor.schemes import (
     NestScheme,
     RealScheme,
     nest_complex_types,
+    parse_real_scheme,
 )
 
 
@@ -265,6 +266,11 @@ class TestSatisfiability:
                     break
         assert target is not None
         assert target.pi_delta == 4
+
+    def test_scheme_without_25_empty_ovals_is_refused(self):
+        scheme = parse_real_scheme("<J + 1<2> + 1<2> + 1<2> + 1>", strict=False)
+        with pytest.raises(EngineError):
+            prove_theorem1(schemes=[scheme])
 
     def test_population_guard(self):
         with pytest.raises(EngineError):
@@ -509,3 +515,44 @@ class TestProposition2:
         data = report.to_json_dict()
         assert data["allClosed"] is True
         assert len(data["rows"]) == 6
+
+
+def _closures(report):
+    for result in report.results:
+        for trace in result.traces:
+            yield from trace.stage_closures
+            for branch in trace.branches:
+                yield from branch.closures
+
+
+def _shape(closure):
+    return closure.rule_id, tuple(closure.evidence), closure.evidence.get("reason")
+
+
+class TestExactReplay:
+    # Between them these two schemes emit all 11 evidence shapes of the
+    # unablated 458-scheme sweep.
+    SCHEMES = ("<J + 1<1> + 1<2> + 1<8> + 14>", "<J + 1<1> + 1<1> + 1<18> + 5>")
+
+    def test_every_sweep_shape(self):
+        report = prove_theorem1(schemes=[parse_real_scheme(s) for s in self.SCHEMES])
+        closures = list(_closures(report))
+        assert len({_shape(c) for c in closures}) == 11
+        for closure in closures:
+            assert replay_violation(closure.rule_id, closure.evidence), closure
+
+    def test_deficit_identity_shape(self):
+        report = prove_theorem1(
+            ablate=("empty_triangles",),
+            schemes=[parse_real_scheme("<J + 1<1> + 1<1> + 1<22> + 1>")],
+        )
+        closures = list(_closures(report))
+        assert any("deficit_required" in c.evidence for c in closures)
+        for closure in closures:
+            assert replay_violation(closure.rule_id, closure.evidence), closure
+
+    def test_proposition2(self, prop2_report):
+        closures = [c for row in prop2_report.rows for c in row.closures]
+        assert {c.rule_id for c in closures} == {"exterior_zone", "lemma10", "separating"}
+        for closure in closures:
+            assert replay_violation(closure.rule_id, closure.evidence), closure

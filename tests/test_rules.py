@@ -421,6 +421,16 @@ REPLAY_SHAPES = [
     ),
 ]
 
+# Evidence that no rule produces, though a violation follows from its
+# numbers: replay must re-derive the recorded evidence, not just some
+# violation.
+FORGERIES = [
+    pytest.param("triangle_bound", {"zone": "T1", "lambda": 3}, id="triangle-no-deficit"),
+    pytest.param("jump", _moved(_JUMP_OPEN, pi_delta=99), id="jump-pi-delta-99"),
+    pytest.param("lambda0_bound", {"lambda0": 4, "tier": "prop2"}, id="lambda0-wrong-tier"),
+    pytest.param("lemma10", {"required_budget": 3, "budget": 2}, id="lemma10-no-reason"),
+]
+
 
 class TestReplay:
     def test_replay_accepts_recorded_violations(self):
@@ -431,7 +441,7 @@ class TestReplay:
             ("triangle_bound", {"zone": "T3", "lambda": 4}),
             ("separating", {"nest": 1, "f": -1, "g_sum": 0, "residual": -1}),
             ("empty_triangles", {"schemes": ["-", "-", "-"]}),
-            ("jump", {"pi_delta": 2, "nu3": 1, "crossing": None}),
+            ("jump", _JUMP_STAGE),
         ]
         for rule_id, evidence in samples:
             assert replay_violation(rule_id, evidence)
@@ -447,3 +457,17 @@ class TestReplay:
     def test_every_evidence_shape(self, rule_id, accepted, rejected):
         assert replay_violation(rule_id, accepted)
         assert not replay_violation(rule_id, rejected)
+
+    @pytest.mark.parametrize("rule_id, evidence", FORGERIES)
+    def test_rejects_forged_evidence(self, rule_id, evidence):
+        assert not replay_violation(rule_id, evidence)
+
+    def test_rejects_malformed_evidence(self):
+        assert not replay_violation("separating", {"nest": 1, "f": -1, "g_sum": 0})
+        assert not replay_violation("separating", {**_SEPARATING, "extra": 0})
+        assert not replay_violation("exterior_zone", _moved(_EXTERIOR, zone=0))
+        assert not replay_violation("lemma10", {})
+
+    def test_unknown_rule_raises(self):
+        with pytest.raises(KeyError):
+            replay_violation("bogus", {})
