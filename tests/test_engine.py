@@ -408,6 +408,29 @@ class TestAblation:
 # theorem1 reference of bench/README.md).
 THEOREM1_TRACE_SHA256 = "9521f039953ad3eb69d61f0e24b9c88a1414f51b21ffcc5f0ea74a4d8496dd87"
 
+# One scheme's traces: (scheme, ablated rules, traces, nets checked, SHA-256
+# of json.dumps of the traces).  The first checks the most nets of the
+# lowbeta benchmark, the second is its beta = 22 scheme, where witnesses
+# stop early; in the third, with the deficit identity ablated, closures whose
+# predicate inputs differ (the deficit) carry the same evidence and merge.
+SCHEME_TRACES = [
+    pytest.param(
+        "<J + 1<5> + 1<5> + 1<9> + 6>", (), 386, 110608,
+        "70988cbd96db3fab371713d6cf1e5d991101eeedc38ada618ee882a4af7c24e4",
+        id="most-nets",
+    ),
+    pytest.param(
+        "<J + 1<1> + 1<1> + 1<1> + 22>", (), 162, 728,
+        "14c6039395833081b7f529088ecc89d4b30435c946ff5869ae2e47b3ecafc159",
+        id="beta-22",
+    ),
+    pytest.param(
+        "<J + 1<1> + 1<2> + 1<8> + 14>", ("lemma10",), 282, 5736,
+        "319db22c47d380945eb9368dd19e41b8c50ae0806a84d3434eb9c7270a9d77b2",
+        id="lemma10-ablated",
+    ),
+]
+
 
 @pytest.fixture(scope="module")
 def theorem1_report():
@@ -453,6 +476,14 @@ class TestTheorem1:
         traces = [t.to_json_dict() for r in report.results for t in r.traces]
         digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
         assert digest == THEOREM1_TRACE_SHA256
+
+    @pytest.mark.parametrize("scheme, ablate, count, checked, sha256", SCHEME_TRACES)
+    def test_scheme_trace_hash_is_pinned(self, scheme, ablate, count, checked, sha256):
+        report = prove_theorem1(ablate=ablate, schemes=[parse_real_scheme(scheme)])
+        traces = [t.to_json_dict() for t in report.results[0].traces]
+        assert len(traces) == count
+        assert sum(b["solutionsChecked"] for t in traces for b in t["branches"]) == checked
+        assert hashlib.sha256(json.dumps(traces).encode()).hexdigest() == sha256
 
     def test_every_closure_replays(self, report):
         for result in report.results:
