@@ -11,6 +11,13 @@ satisfies every active rule; otherwise each branch is closed by a named
 rule with numeric evidence, and the whole record replays
 deterministically.
 
+The search shares work within a candidate without changing a trace.
+Every branch that asks for the same (free zones, budget, deficit) key
+replays one net sequence, built once and only as far as some branch reads
+it.  Each bound predicate runs once per distinct input, and its closure
+key is stored with the result.  Closures merge by evidence, not by
+predicate inputs, and are listed in the order of their first net.
+
 Interior-chain model (the engine's central commitment, validated against
 the reproduced intermediate values): a separating even nest either
 straddles with an odd central run, contributing (sigma, 0) to
@@ -24,6 +31,7 @@ jumped chain may place single ovals in the triangles.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -298,23 +306,15 @@ def _signed_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + tail
 
 
-def _free_assignments(
+def _net_levels(
     free: tuple[int, ...], budget: int, deficit_rhs: Optional[int]
-) -> Iterator[dict[int, int]]:
-    """Exterior triangle nets over the free zones, deficit equation applied.
+) -> Iterator[list[tuple[int, ...]]]:
+    """The nets of `_free_assignments`, one sorted run per finished total.
 
-    Zone 0 enters the deficit with +1, zones 1..3 with -1.  All but the
-    last free zone range over the oval budget; the last is solved from the
-    deficit equation and deliberately NOT budget-capped, so that bound
-    rules get to fire on identity-forced values (budget feasibility is
-    re-checked when a witness is built).
-
-    Nets are ordered by total absolute value, then by the values tuple,
-    and produced lazily: the non-last zones are enumerated level by level
-    of their L1 norm `used`, each net goes to the bucket of its total
-    `used + |v_last|`, and bucket `used` is sorted and yielded as soon as
-    level `used` is done, since no later level reaches that total.  A
-    caller that stops at a witness never builds the higher levels.
+    The non-last zones are enumerated level by level of their L1 norm
+    `used`, each net goes to the bucket of its total `used + |v_last|`, and
+    bucket `used` is sorted and yielded as soon as level `used` is done,
+    since no later level reaches that total.
     """
 
     def coeff(z: int) -> int:
@@ -322,7 +322,7 @@ def _free_assignments(
 
     if not free:
         if deficit_rhs is None or deficit_rhs == 0:
-            yield {}
+            yield [()]
         return
     rest, last = free[:-1], free[-1]
     signs = tuple(coeff(z) for z in rest)
@@ -336,32 +336,55 @@ def _free_assignments(
             else:
                 v_last = (deficit_rhs - sum(c * v for c, v in zip(signs, values))) * coeff(last)
                 buckets.setdefault(used + abs(v_last), []).append(values + (v_last,))
-        for values in sorted(buckets.pop(used, ())):
-            yield dict(zip(free, values))
+        if used in buckets:
+            yield sorted(buckets.pop(used))
         if not rest:
             break  # the last zone alone: every net is on level 0
     for total in sorted(buckets):
-        for values in sorted(buckets[total]):
-            yield dict(zip(free, values))
+        yield sorted(buckets[total])
 
 
-def _identity_lambdas(
-    lam0: int, lam456: tuple[int, int, int], eps: tuple[int, ...]
-) -> tuple[int, int, int]:
-    rhs1 = -(eps[2] + eps[5] + eps[1] + eps[4]) // 2
-    rhs2 = -(eps[2] + eps[5] + eps[0] + eps[3]) // 2
-    rhs3 = -(eps[1] + eps[4] + eps[0] + eps[3]) // 2
-    return (
-        rhs1 - lam0 + lam456[0],
-        rhs2 - lam0 + lam456[1],
-        rhs3 - lam0 + lam456[2],
-    )
+def _free_assignments(
+    free: tuple[int, ...],
+    budget: int,
+    deficit_rhs: Optional[int],
+    sequences: dict[tuple, tuple[list, Iterator]],
+) -> Iterator[tuple[int, ...]]:
+    """Exterior triangle nets over the free zones, deficit equation applied.
+
+    Each net is a tuple of values aligned with `free`.  Zone 0 enters the
+    deficit with +1, zones 1..3 with -1.  All but the last free zone range
+    over the oval budget; the last is solved from the deficit equation and
+    deliberately NOT budget-capped, so that bound rules get to fire on
+    identity-forced values (budget feasibility is re-checked when a
+    witness is built).
+
+    Nets are ordered by total absolute value, then by the values tuple.
+    Every consumer passing the same `sequences` replays one sequence per
+    key: `sequences[key]` holds the sorted runs of `_net_levels` built so
+    far and the builder of the rest, and a run is built when the first
+    consumer gets that far.  A consumer that stops at a witness never
+    builds the later runs.
+    """
+    key = (free, budget, deficit_rhs)
+    if key not in sequences:
+        sequences[key] = [], _net_levels(*key)
+    runs, builder = sequences[key]
+    done = 0
+    while True:
+        if done == len(runs):
+            run = next(builder, None)
+            if run is None:
+                return
+            runs.append(run)
+        yield from runs[done]
+        done += 1
 
 
-def _quad_zones(nest_index: int) -> tuple[int, int]:
-    """Quadrangle zone indices adjacent to a nest (0-based nest index)."""
-    others = [x for x in range(3) if x != nest_index]
-    return (others[0] + 1, others[1] + 1)
+# The quadrangle zones adjacent to nest 0, 1 and 2.
+_QUAD_ZONES = ((2, 3), (1, 3), (1, 2))
+
+_UNSEEN = object()
 
 
 class _Search:
@@ -386,8 +409,13 @@ class _Search:
             self.zones = (0, 1, 2, 3)
         else:
             self.zones = allowed_zones(*self.schemes)
-        # Candidate-level inputs of the per-assignment checks; None where the
-        # rule is ablated or, for the jump's numeric tier, does not apply.
+        # A net padded with one 0 gives (x0, x1, x2, x3) through `spread`.
+        self.spread = operator.itemgetter(
+            *(self.zones.index(z) if z in self.zones else len(self.zones) for z in range(4))
+        )
+        self.nest_signs = tuple(s.nu for s in self.schemes)
+        # Candidate-level inputs of the per-net checks; None where the rule
+        # is ablated or, for the jump's numeric tier, does not apply.
         self.empty_triangles = self.open_cases = None
         if self.active("empty_triangles"):
             self.empty_triangles = _empty_triangles_violation(self.schemes)
@@ -395,9 +423,32 @@ class _Search:
             cases = jump_cases_open(self.pd, self.schemes[2].nu, self.ct.jump.crossing)
             self.open_cases = [c for c in cases if required_case in (None, c)]
         self.all_separating = all(ct.separating for ct in self.ct.nests)
+        # Each bound predicate runs once per distinct argument tuple in this
+        # candidate; the memo holds the closure key of its evidence, or None.
+        self.jump_seen = {} if self.open_cases is not None else None
+        self.lambda0_seen = {} if self.active("lambda0_bound") else None
+        self.triangle_seen = {} if self.active("triangle_bound") else None
+        self.evidence: dict[tuple, dict] = {}  # closure key -> evidence
+        # The net sequences of this candidate's branches, one per key.
+        self.nets: dict[tuple, tuple[list, Iterator]] = {}
 
     def active(self, rule_id: str) -> bool:
         return rule_id not in self.ablate
+
+    def _closure_key(self, rule_id: str, violation: Optional[dict]) -> Optional[tuple]:
+        """None for no violation, else the key that merges equal evidence."""
+        if violation is None:
+            return None
+        key = (rule_id, repr(sorted(violation.items())))
+        self.evidence.setdefault(key, violation)
+        return key
+
+    def _close(self, tally: dict, rule_id: str, violation: dict) -> None:
+        key = self._closure_key(rule_id, violation)
+        tally[key] = tally.get(key, 0) + 1
+
+    def _closures(self, tally: dict) -> list[Closure]:
+        return [Closure(key[0], self.evidence[key], n) for key, n in tally.items()]
 
     # -- stage 1: candidate-level rules ---------------------------------
 
@@ -428,129 +479,131 @@ class _Search:
     def explore_branch(
         self, branches: tuple[NestBranch, ...]
     ) -> tuple[list[Closure], int, Optional[OrientationLedger]]:
-        """Close a branch or find a witness.  Returns (closures, checked, witness)."""
-        sh0 = sum(b.lam0 for b in branches)
-        sh_t = tuple(b.lam_t for b in branches)
-        eps = tuple(ct.scheme.nu for ct in self.ct.nests) + tuple(
-            b.eps for b in branches
-        )
+        """Close a branch or find a witness.  Returns (closures, checked, witness).
+
+        One loop over the branch's exterior nets, in `_free_assignments`
+        order.  The first rule that fires closes a net, in the order empty
+        triangles, jump, lambda_0, then the corners T1..T3; a net no bound
+        closes goes on to a ledger build.  Closures merge by evidence, not
+        by the predicate inputs that produced it: with `lemma10` ablated,
+        nets of different deficits share the corner evidence
+        {"zone": "T1", "lambda": 5} and count as one closure.  Closures are
+        listed in the order of their first net.
+        """
+        b1, b2, b3 = branches
+        sh0 = b1.lam0 + b2.lam0 + b3.lam0
+        t4, t5, t6 = b1.lam_t, b2.lam_t, b3.lam_t
+        eps = self.nest_signs + (b1.eps, b2.eps, b3.eps)
+        eps_sum = sum(eps)
+        # right-hand sides of the three quadrangle identities
+        rhs1 = -(eps[2] + eps[5] + eps[1] + eps[4]) // 2
+        rhs2 = -(eps[2] + eps[5] + eps[0] + eps[3]) // 2
+        rhs3 = -(eps[1] + eps[4] + eps[0] + eps[3]) // 2
         quad_net = [0, 0, 0, 0]  # zone-indexed, entries 1..3 used
-        for i, b in enumerate(branches):
-            zj, zk = _quad_zones(i)
+        for (zj, zk), b in zip(_QUAD_ZONES, branches):
             quad_net[zj] += b.w[0]
             quad_net[zk] += b.w[1]
-        pop_t0 = sum(b.pop_t0 for b in branches)
-        pops_t = tuple(b.pop_t for b in branches)
-
-        closures: dict[tuple, Closure] = {}
-        checked = 0
-
-        def close(rule_id: str, evidence: dict) -> None:
-            key = (rule_id, repr(sorted(evidence.items())))
-            if key in closures:
-                closures[key] = Closure(rule_id, evidence, closures[key].count + 1)
-            else:
-                closures[key] = Closure(rule_id, evidence)
+        q1, q2, q3 = (quad_net[q] == 0 for q in (1, 2, 3))
+        pop_t0 = b1.pop_t0 + b2.pop_t0 + b3.pop_t0
+        pops_t = (b1.pop_t, b2.pop_t, b3.pop_t)
+        no_pop = pop_t0 == 0 and not any(pops_t)
 
         # Triangles forced empty: the list rule applies before any solving.
-        forced_empty = (
-            not self.zones or self.beta == 0
-        ) and pop_t0 == 0 and not any(pops_t)
-        if forced_empty and self.empty_triangles:
-            close("empty_triangles", self.empty_triangles)
-            return list(closures.values()), checked, None
+        if no_pop and (not self.zones or self.beta == 0) and self.empty_triangles:
+            return [Closure("empty_triangles", self.empty_triangles)], 0, None
 
         deficit_rhs = None
         if self.identities:
-            deficit_target = self.pd - 4
-            deficit_rhs = deficit_target - (sh0 - sum(sh_t))
-        free = tuple(z for z in self.zones)
-
-        any_assignment = False
-        for xt in _free_assignments(free, self.beta, deficit_rhs):
-            any_assignment = True
+            deficit_rhs = self.pd - 4 - (sh0 - t4 - t5 - t6)
+        empty_key = None
+        if no_pop:
+            empty_key = self._closure_key("empty_triangles", self.empty_triangles)
+        fixed = self.space.fixed_lambda
+        spread = self.spread
+        jump_seen = self.jump_seen
+        lambda0_seen = self.lambda0_seen
+        triangle_seen = self.triangle_seen
+        tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
+        checked = 0
+        for net in _free_assignments(self.zones, self.beta, deficit_rhs, self.nets):
             checked += 1
-            full_xt = {z: xt.get(z, 0) for z in range(4)}
-            lam0 = full_xt[0] + sh0
-            lam456 = tuple(full_xt[i + 1] + sh_t[i] for i in range(3))
-            if self.space.fixed_lambda:
-                lam_map = {0: lam0, 4: lam456[0], 5: lam456[1], 6: lam456[2]}
-                if any(
-                    z in lam_map and lam_map[z] != v
-                    for z, v in self.space.fixed_lambda.items()
-                ):
+            x0, x1, x2, x3 = spread(net + (0,))
+            lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
+            if fixed:
+                lam_map = {0: lam0, 4: lam4, 5: lam5, 6: lam6}
+                if any(z in lam_map and lam_map[z] != v for z, v in fixed.items()):
                     continue
-            outcome = self._check_assignment(
-                branches, eps, full_xt, lam0, lam456, quad_net, pop_t0, pops_t, close
+
+            # Empty-triangle list rule on genuinely empty nets.
+            if empty_key and not (x0 or x1 or x2 or x3):
+                tally[empty_key] = tally.get(empty_key, 0) + 1
+                continue
+
+            # Jump trichotomy, numeric tier.
+            deficit = lam0 - lam4 - lam5 - lam6
+            if jump_seen is not None:
+                args = (deficit, lam0 - lam4 - lam5, lam6)
+                key = jump_seen.get(args, _UNSEEN)
+                if key is _UNSEEN:
+                    key = jump_seen[args] = self._closure_key(
+                        "jump", _jump_violation(self.pd, self.open_cases, *args)
+                    )
+                if key:
+                    tally[key] = tally.get(key, 0) + 1
+                    continue
+
+            # The quadrangle values the identities pin.
+            p1, p2, p3 = rhs1 - lam0 + lam4, rhs2 - lam0 + lam5, rhs3 - lam0 + lam6
+
+            # Central-triangle bound with its magnitude-3 refinements.
+            if lambda0_seen is not None:
+                args = (lam0, eps_sum, q1 and p1 == 0, q2 and p2 == 0, q3 and p3 == 0)
+                key = lambda0_seen.get(args, _UNSEEN)
+                if key is _UNSEEN:
+                    emptiable = None
+                    if self.identities:
+                        emptiable = tuple(q for q, empty in zip((1, 2, 3), args[2:]) if empty)
+                    key = lambda0_seen[args] = self._closure_key(
+                        "lambda0_bound",
+                        _lambda0_violation(lam0, self.all_separating, eps_sum, emptiable),
+                    )
+                if key:
+                    tally[key] = tally.get(key, 0) + 1
+                    continue
+
+            # Corner-triangle bounds.
+            if triangle_seen is not None:
+                for args in ((lam4, deficit, 1), (lam5, deficit, 2), (lam6, deficit, 3)):
+                    key = triangle_seen.get(args, _UNSEEN)
+                    if key is _UNSEEN:
+                        key = triangle_seen[args] = self._closure_key(
+                            "triangle_bound", _triangle_violation(*args)
+                        )
+                    if key:
+                        break
+                if key:
+                    tally[key] = tally.get(key, 0) + 1
+                    continue
+
+            witness = self._feasible_ledger(
+                branches, eps, (x0, x1, x2, x3), lam0, (lam4, lam5, lam6),
+                (p1, p2, p3), quad_net, pop_t0, pops_t, tally,
             )
-            if outcome is not None:
-                return list(closures.values()), checked, outcome
-        if not any_assignment:
+            if witness is not None:
+                return self._closures(tally), checked, witness
+        if not checked:
             # only possible with no free zone at all: the deficit identity
             # fails on the forced values
-            close("lemma10", _deficit_identity_violation(self.pd - 4, sh0 - sum(sh_t)))
-        return list(closures.values()), checked, None
-
-    def _check_assignment(
-        self, branches, eps, xt, lam0, lam456, quad_net, pop_t0, pops_t, close
-    ) -> Optional[OrientationLedger]:
-        # Empty-triangle list rule on genuinely empty assignments.
-        triangles_empty = (
-            all(v == 0 for v in xt.values()) and pop_t0 == 0 and not any(pops_t)
-        )
-        if triangles_empty and self.empty_triangles:
-            close("empty_triangles", self.empty_triangles)
-            return None
-
-        # Jump trichotomy, numeric tier.
-        if self.open_cases is not None:
-            violation = _jump_violation(
-                self.pd,
-                self.open_cases,
-                lam0 - sum(lam456),
-                lam0 - lam456[0] - lam456[1],
-                lam456[2],
+            self._close(
+                tally, "lemma10", _deficit_identity_violation(self.pd - 4, sh0 - t4 - t5 - t6)
             )
-            if violation:
-                close("jump", violation)
-                return None
-
-        pinned = _identity_lambdas(lam0, lam456, eps)
-
-        # Central-triangle bound with its magnitude-3 refinements.
-        if self.active("lambda0_bound"):
-            emptiable = None
-            if self.identities:
-                emptiable = tuple(
-                    q
-                    for q in (1, 2, 3)
-                    if quad_net[q] == 0 and pinned[q - 1] == 0
-                )
-            violation = _lambda0_violation(
-                lam0, False, self.all_separating, sum(eps), emptiable
-            )
-            if violation:
-                close("lambda0_bound", violation)
-                return None
-
-        # Corner-triangle bounds.
-        if self.active("triangle_bound"):
-            deficit = lam0 - sum(lam456)
-            for i in (1, 2, 3):
-                violation = _triangle_violation(lam456[i - 1], deficit, i)
-                if violation:
-                    close("triangle_bound", violation)
-                    return None
-
-        return self._feasible_ledger(
-            branches, eps, xt, lam0, lam456, pinned, quad_net, pop_t0, pops_t, close
-        )
+        return self._closures(tally), checked, None
 
     def _feasible_ledger(
-        self, branches, eps, xt, lam0, lam456, pinned, quad_net, pop_t0, pops_t, close
+        self, branches, eps, xs, lam0, lam456, pinned, quad_net, pop_t0, pops_t, tally
     ) -> Optional[OrientationLedger]:
         beta = self.beta
-        ext_used = sum(abs(v) for v in xt.values())
+        ext_used = sum(abs(v) for v in xs)
         y_pinned = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
         # The cost always has the parity of beta: mod 2 it is the sum of the
         # branch shares, alpha_i + 1 per nest, and sum(alpha) + beta = 25
@@ -563,7 +616,7 @@ class _Search:
             # when they are ablated (keeps ablation monotone)
             lam123, y = pinned, y_pinned
         elif self.identities:
-            close("lemma10", over_budget)
+            self._close(tally, "lemma10", over_budget)
             return None
         else:
             # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1;
@@ -574,12 +627,12 @@ class _Search:
         lam = (lam0, *lam123, *lam456)
         leftover = beta - ext_used - sum(abs(v) for v in y)
         pops = [0] * 7
-        pops[0] = abs(xt[0]) + pop_t0
+        pops[0] = abs(xs[0]) + pop_t0
         for i in range(3):
-            pops[4 + i] = abs(xt[i + 1]) + pops_t[i]
+            pops[4 + i] = abs(xs[i + 1]) + pops_t[i]
         quad_int = [0, 0, 0, 0]
         for i, b in enumerate(branches):
-            zj, zk = _quad_zones(i)
+            zj, zk = _QUAD_ZONES[i]
             remaining = (
                 self.ct.nests[i].scheme.alpha - 1 - b.pop_t0 - b.pop_t
             )
@@ -611,12 +664,12 @@ class _Search:
             t0_only_exterior=True,
             t_only_exterior=(True, True, True),
             triangles_empty=all(p == 0 for p in (pops[0], pops[4], pops[5], pops[6])),
-            exterior_triangle_pops=tuple(abs(xt[z]) for z in range(4)),
+            exterior_triangle_pops=tuple(abs(x) for x in xs),
         )
         verdicts = evaluate_all(candidate, ablate=tuple(self.ablate))
         for rule_id, verdict in verdicts.items():
             if verdict.status == VIOLATED:
-                close(rule_id, verdict.evidence)
+                self._close(tally, rule_id, verdict.evidence)
                 return None
         return ledger
 

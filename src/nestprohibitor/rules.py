@@ -54,7 +54,6 @@ class Candidate:
     )
     triangles_empty: Optional[bool] = None
     exterior_triangle_pops: Optional[tuple[int, int, int, int]] = None
-    prop2_tier: bool = False
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,6 @@ def rule_lemma10(c: Candidate) -> RuleVerdict:
 
 def _lambda0_violation(
     lambda0: int,
-    prop2_tier: bool,
     all_separating: Optional[bool],
     epsilon_sum: Optional[int],
     emptiable_quads: Optional[tuple[int, ...]],
@@ -158,8 +156,6 @@ def _lambda0_violation(
     """Core predicate shared by the live check and trace replay."""
     if abs(lambda0) > 3:
         return {"lambda0": lambda0, "tier": "lemma16"}
-    if prop2_tier and abs(lambda0) > 2:
-        return {"lambda0": lambda0, "tier": "prop2"}
     if abs(lambda0) == 3:
         sign = 1 if lambda0 > 0 else -1
         if all_separating is False:
@@ -199,7 +195,7 @@ def rule_lambda0_bound(c: Candidate) -> RuleVerdict:
         emptiable = tuple(q for q in (1, 2, 3) if c.ledger.zone_pop[q] == 0)
     return _judged(
         "lambda0_bound",
-        _lambda0_violation(lambda0, c.prop2_tier, all_sep, eps_sum, emptiable),
+        _lambda0_violation(lambda0, all_sep, eps_sum, emptiable),
     )
 
 
@@ -384,7 +380,7 @@ RULES: dict[str, Rule] = {
             "Lemma 16; Proposition 2",
             "T0 contains only exterior ovals",
             "|lambda_0| <= 3; at 3 all nests separate, epsilon sums to -+6 and "
-            "a quadrangle is empty; tier 2 sharpens the bound to 2",
+            "a quadrangle is empty",
             rule_lambda0_bound,
         ),
         Rule(
@@ -462,49 +458,62 @@ def _parse_short_scheme(text: str) -> NestScheme:
 
 
 def _rederive(rule_id: str, e: dict) -> Optional[dict]:
-    """The rule's predicate re-run on the inputs that the evidence records."""
+    """The rule's predicate re-run on the inputs that the evidence records,
+    each number taken as the int the engine writes."""
+
+    def ints(key: str) -> list[int]:
+        return [int(v) for v in e[key]]
+
+    def optional(key: str) -> Optional[int]:
+        return None if e.get(key) is None else int(e[key])
+
     if rule_id == "rm":
-        return _rm_violation(e["residual"])
+        return _rm_violation(int(e["residual"]))
     if rule_id == "lemma10":
         if "residuals" in e:
-            return _identities_violation(e["residuals"])
+            return _identities_violation(ints("residuals"))
         if "deficit_required" in e:
-            return _deficit_identity_violation(e["deficit_required"], e["deficit_forced"])
+            return _deficit_identity_violation(int(e["deficit_required"]), int(e["deficit_forced"]))
         if "required_budget" in e:
-            return _budget_violation(e["required_budget"], e["budget"], e["lambda"])
-        return _unreachable_violation(int(e["zone"][1:]), e["required"], e["reachable"])
+            return _budget_violation(int(e["required_budget"]), int(e["budget"]), ints("lambda"))
+        return _unreachable_violation(int(e["zone"][1:]), int(e["required"]), ints("reachable"))
     if rule_id == "lambda0_bound":
         reason = e.get("reason")
         return _lambda0_violation(
-            e["lambda0"],
-            e["tier"] == "prop2",
+            int(e["lambda0"]),
             False if reason == "non-separating nest" else None,
-            e.get("epsilon_sum"),
+            optional("epsilon_sum"),
             () if reason == "no empty quadrangle" else None,
         )
     if rule_id == "triangle_bound":
-        return _triangle_violation(e["lambda"], e.get("deficit"), int(e["zone"][1:]))
+        return _triangle_violation(int(e["lambda"]), optional("deficit"), int(e["zone"][1:]))
     if rule_id == "exterior_zone":
-        return _exterior_zone_violation(int(e["zone"][1:]), e["e_value"], e["population"])
+        return _exterior_zone_violation(int(e["zone"][1:]), int(e["e_value"]), int(e["population"]))
     if rule_id == "separating":
-        return _separating_violation(e["nest"], e["f"], e["g_sum"])
+        return _separating_violation(int(e["nest"]), int(e["f"]), int(e["g_sum"]))
     if rule_id == "empty_triangles":
         return _empty_triangles_violation(tuple(_parse_short_scheme(s) for s in e["schemes"]))
     # jump: the open cases must be ones that Pi_delta leaves open
+    pd = int(e["pi_delta"])
     if "open_cases" not in e:
-        return _jump_stage_violation(e["pi_delta"], e["nu3"], e["crossing"])
-    pd = e["pi_delta"]
+        return _jump_stage_violation(pd, int(e["nu3"]), e["crossing"])
+    open_cases = ints("open_cases")
     possible = {*jump_cases_open(pd, PLUS, None), *jump_cases_open(pd, MINUS, None)}
-    if not set(e["open_cases"]) <= possible:
+    if not set(open_cases) <= possible:
         return None
-    return _jump_violation(pd, e["open_cases"], e["deficit"], e["lambda045"], e["lambda6"])
+    return _jump_violation(
+        pd, open_cases, int(e["deficit"]), int(e["lambda045"]), int(e["lambda6"])
+    )
 
 
 def replay_violation(rule_id: str, evidence: dict) -> bool:
     """True when the rule's predicate, re-run on the inputs the evidence
-    records, returns that evidence exactly; malformed evidence is False."""
+    records, returns that evidence byte for byte as JSON, so that -8.0 for
+    -8 or 1 for True does not pass; malformed evidence is False."""
+    import json  # replay only; the search does not pay for the import
+
     check_rule_ids([rule_id])
     try:
-        return _rederive(rule_id, evidence) == evidence
+        return json.dumps(_rederive(rule_id, evidence)) == json.dumps(evidence)
     except (KeyError, TypeError, ValueError):
         return False

@@ -288,7 +288,7 @@ def _eager_free_assignments(free, budget, deficit_rhs):
 
     if not free:
         if deficit_rhs is None or deficit_rhs == 0:
-            yield {}
+            yield ()
         return
     rest, last = free[:-1], free[-1]
     combos = []
@@ -304,7 +304,7 @@ def _eager_free_assignments(free, budget, deficit_rhs):
             combos.append((used + abs(v_last), values + (v_last,)))
     combos.sort(key=lambda item: (item[0], item[1]))
     for _, values in combos:
-        yield dict(zip(free, values))
+        yield values
 
 
 class TestFreeAssignments:
@@ -323,13 +323,21 @@ class TestFreeAssignments:
     def test_lazy_order_equals_the_eager_sort(self, free):
         for budget in range(7):
             for deficit_rhs in (None, *range(-8, 9)):
-                assert list(_free_assignments(free, budget, deficit_rhs)) == list(
-                    _eager_free_assignments(free, budget, deficit_rhs)
-                ), (budget, deficit_rhs)
+                key = (free, budget, deficit_rhs)
+                eager = list(_eager_free_assignments(*key))
+                assert list(_free_assignments(*key, {})) == eager, key
+                # A consumer that stops halfway builds the shared sequence
+                # only so far; the next one extends it to the end.
+                sequences = {}
+                half = len(eager) // 2
+                assert list(itertools.islice(_free_assignments(*key, sequences), half)) == (
+                    eager[:half]
+                ), key
+                assert list(_free_assignments(*key, sequences)) == eager, key
 
     def test_first_net_at_a_large_budget(self):
         free = (0, 1, 2, 3)
-        first = list(itertools.islice(_free_assignments(free, 25, 1), 1))
+        first = list(itertools.islice(_free_assignments(free, 25, 1, {}), 1))
         assert first == [next(_eager_free_assignments(free, 25, 1))]
 
 

@@ -88,15 +88,10 @@ class TestLambda0Bound:
         assert v.status == VIOLATED
         assert v.evidence["tier"] == "lemma16"
 
-    def test_three_violates_only_tier_two(self):
+    def test_three_satisfies_the_bound(self):
         ledger = make_ledger(lam=(3, 0, 0, 0, 0, 0, 0))
-        base = rule_lambda0_bound(with_ledger(ledger, t0_only_exterior=True))
-        assert base.status == SATISFIED
-        sharp = rule_lambda0_bound(
-            with_ledger(ledger, t0_only_exterior=True, prop2_tier=True)
-        )
-        assert sharp.status == VIOLATED
-        assert sharp.evidence["tier"] == "prop2"
+        v = rule_lambda0_bound(with_ledger(ledger, t0_only_exterior=True))
+        assert v.status == SATISFIED
 
     def test_zero_satisfied(self):
         ledger = make_ledger()
@@ -366,12 +361,6 @@ REPLAY_SHAPES = [
         id="lambda0-lemma16",
     ),
     pytest.param(
-        "lambda0_bound",
-        {"lambda0": 3, "tier": "prop2"},
-        {"lambda0": 2, "tier": "prop2"},
-        id="lambda0-prop2",
-    ),
-    pytest.param(
         "lambda0_bound", _NON_SEPARATING, _moved(_NON_SEPARATING, lambda0=2),
         id="lambda0-non-separating",
     ),
@@ -429,6 +418,9 @@ FORGERIES = [
     pytest.param("jump", _moved(_JUMP_OPEN, pi_delta=99), id="jump-pi-delta-99"),
     pytest.param("lambda0_bound", {"lambda0": 4, "tier": "prop2"}, id="lambda0-wrong-tier"),
     pytest.param("lemma10", {"required_budget": 3, "budget": 2}, id="lemma10-no-reason"),
+    pytest.param("rm", {"residual": -8.0}, id="rm-float"),
+    pytest.param("lemma10", _moved(_UNREACHABLE, unreachable=1), id="lemma10-unreachable-int"),
+    pytest.param("lemma10", _moved(_UNREACHABLE, reachable=[0.0]), id="lemma10-reachable-float"),
 ]
 
 
