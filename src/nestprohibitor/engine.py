@@ -486,9 +486,9 @@ class _Search:
         triangles, jump, lambda_0, then the corners T1..T3; a net no bound
         closes goes on to a ledger build.  Closures merge by evidence, not
         by the predicate inputs that produced it: with `lemma10` ablated,
-        nets of different deficits share the corner evidence
-        {"zone": "T1", "lambda": 5} and count as one closure.  Closures are
-        listed in the order of their first net.
+        nets of different deficits with lambda_4 = 5 share one corner
+        evidence, which records no deficit, and count as one closure.
+        Closures are listed in the order of their first net.
         """
         b1, b2, b3 = branches
         sh0 = b1.lam0 + b2.lam0 + b3.lam0
