@@ -8,22 +8,23 @@ concrete witness ledger for the surviving candidate.
 import json
 
 from nestprohibitor import (
-    CandidateSpace,
     RealScheme,
-    candidate_complex_types,
     eliminate,
     jump_candidates,
-    ledger_satisfiable,
+    no_jump_candidates,
+    pi_delta,
 )
+from nestprohibitor.schemes import PLUS
 
 scheme = RealScheme((1, 2, 22), 0)
 print(f"scheme {scheme}:")
+candidates = no_jump_candidates(scheme) + jump_candidates(scheme)
 survivors = []
-for candidate in candidate_complex_types(scheme):
+for candidate in candidates:
     trace = eliminate(candidate, scheme)
     if trace.outcome == "survives":
         survivors.append(trace)
-print(f"  candidates: {len(candidate_complex_types(scheme))}, survivors: {len(survivors)}")
+print(f"  candidates: {len(candidates)}, survivors: {len(survivors)}")
 for trace in survivors:
     print(f"  survives: {trace.candidate}")
 print()
@@ -33,10 +34,13 @@ print("witness ledger for the first survivor:")
 print(json.dumps(trace.witness.to_json_dict(), indent=2))
 print()
 
+# Pi_delta 3 with nu_3 = + leaves only the crossing case open.
 print("direct satisfiability query, crossing case of the trichotomy:")
 case2_scheme = RealScheme((1, 2, 2), 20)
 for candidate in jump_candidates(case2_scheme):
-    ledger = ledger_satisfiable(CandidateSpace(candidate, case2_scheme), required_case=2)
+    if pi_delta(candidate.schemes) != 3 or candidate.schemes[2].nu != PLUS:
+        continue
+    ledger = eliminate(candidate, case2_scheme).witness
     if ledger is not None:
         print(f"  {candidate}")
         print(f"  pair delta {ledger.pi_delta}, lambda = {list(ledger.lam)}")

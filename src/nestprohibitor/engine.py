@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .ledger import OrientationLedger
@@ -46,6 +46,7 @@ from .rules import (
     _deficit_identity_violation,
     _empty_triangles_violation,
     _exterior_zone_violation,
+    _jump_stage_violation,
     _jump_violation,
     _lambda0_violation,
     _separating_violation,
@@ -190,17 +191,6 @@ def jump_candidates(scheme: RealScheme) -> list[CurveType]:
     return [seen[k] for k in sorted(seen)]
 
 
-def candidate_complex_types(scheme: RealScheme) -> list[CurveType]:
-    """Admissible candidates; jump options only when their trichotomy
-    arithmetic is not already ruled out by the pair-sign parity."""
-    out = list(no_jump_candidates(scheme))
-    for candidate in jump_candidates(scheme):
-        schemes = candidate.schemes
-        if jump_cases_open(pi_delta(schemes), schemes[2].nu, candidate.jump.crossing):
-            out.append(candidate)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Proof traces
 
@@ -272,24 +262,7 @@ class ProofTrace:
 
 
 # ---------------------------------------------------------------------------
-# The candidate space and its exhaustive search
-
-
-@dataclass(frozen=True)
-class CandidateSpace:
-    """Finite search space of one candidate over one real scheme."""
-
-    curve_type: CurveType
-    scheme: RealScheme
-    fixed_lambda: dict = field(default_factory=dict)  # zone index -> forced value
-
-    def __post_init__(self):
-        if sorted(self.curve_type.alphas()) != sorted(self.scheme.alpha):
-            raise EngineError("candidate nests do not match the scheme")
-        if self.scheme.beta > MAX_ZONE_POP or max(self.scheme.alpha) > MAX_ZONE_POP:
-            raise EngineError(f"zone population bound {MAX_ZONE_POP} exceeded")
-        if sum(self.scheme.alpha) + self.scheme.beta != EMPTY_OVALS:
-            raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
+# The exhaustive search of one candidate
 
 
 def _signed_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -388,18 +361,19 @@ _UNSEEN = object()
 
 
 class _Search:
-    """Shared search backend for eliminate() and ledger_satisfiable()."""
+    """The finite search space of one candidate over one real scheme, and
+    its exhaustive search; `eliminate()` runs it."""
 
-    def __init__(
-        self,
-        space: CandidateSpace,
-        ablate: tuple[str, ...] = (),
-        required_case: Optional[int] = None,
-    ):
+    def __init__(self, curve_type: CurveType, scheme: RealScheme, ablate: tuple[str, ...]):
+        if sorted(curve_type.alphas()) != sorted(scheme.alpha):
+            raise EngineError("candidate nests do not match the scheme")
+        if scheme.beta > MAX_ZONE_POP or max(scheme.alpha) > MAX_ZONE_POP:
+            raise EngineError(f"zone population bound {MAX_ZONE_POP} exceeded")
+        if sum(scheme.alpha) + scheme.beta != EMPTY_OVALS:
+            raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
         check_rule_ids(ablate)
-        self.space = space
-        self.ct = space.curve_type
-        self.scheme = space.scheme
+        self.ct = curve_type
+        self.scheme = scheme
         self.ablate = set(ablate)
         self.schemes = self.ct.schemes
         self.beta = self.scheme.beta
@@ -416,12 +390,12 @@ class _Search:
         self.nest_signs = tuple(s.nu for s in self.schemes)
         # Candidate-level inputs of the per-net checks; None where the rule
         # is ablated or, for the jump's numeric tier, does not apply.
-        self.empty_triangles = self.open_cases = None
+        self.empty_triangles = self.jump_inputs = self.open_cases = None
         if self.active("empty_triangles"):
             self.empty_triangles = _empty_triangles_violation(self.schemes)
         if self.ct.jump is not None and self.active("jump"):
-            cases = jump_cases_open(self.pd, self.schemes[2].nu, self.ct.jump.crossing)
-            self.open_cases = [c for c in cases if required_case in (None, c)]
+            self.jump_inputs = (self.pd, self.schemes[2].nu, self.ct.jump.crossing)
+            self.open_cases = jump_cases_open(*self.jump_inputs)
         self.all_separating = all(ct.separating for ct in self.ct.nests)
         # Each bound predicate runs once per distinct argument tuple in this
         # candidate; the memo holds the closure key of its evidence, or None.
@@ -454,17 +428,15 @@ class _Search:
 
     def stage_closures(self) -> list[Closure]:
         # The jump trichotomy screens first, as in the main case analysis.
-        closures = []
-        if self.ct.jump is not None and self.active("jump"):
-            verdict = RULES["jump"](Candidate(curve_type=self.ct))
-            if verdict.status == VIOLATED:
-                closures.append(Closure("jump", verdict.evidence))
-                return closures
+        if self.jump_inputs is not None:
+            violation = _jump_stage_violation(*self.jump_inputs)
+            if violation:
+                return [Closure("jump", violation)]
         if self.active("separating"):
             verdict = RULES["separating"](Candidate(curve_type=self.ct))
             if verdict.status == VIOLATED:
-                closures.append(Closure("separating", verdict.evidence))
-        return closures
+                return [Closure("separating", verdict.evidence)]
+        return []
 
     # -- stage 2: branch exploration -------------------------------------
 
@@ -518,7 +490,6 @@ class _Search:
         empty_key = None
         if no_pop:
             empty_key = self._closure_key("empty_triangles", self.empty_triangles)
-        fixed = self.space.fixed_lambda
         spread = self.spread
         jump_seen = self.jump_seen
         lambda0_seen = self.lambda0_seen
@@ -529,10 +500,6 @@ class _Search:
             checked += 1
             x0, x1, x2, x3 = spread(net + (0,))
             lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
-            if fixed:
-                lam_map = {0: lam0, 4: lam4, 5: lam5, 6: lam6}
-                if any(z in lam_map and lam_map[z] != v for z, v in fixed.items()):
-                    continue
 
             # Empty-triangle list rule on genuinely empty nets.
             if empty_key and not (x0 or x1 or x2 or x3):
@@ -607,7 +574,7 @@ class _Search:
         y_pinned = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
         # The cost always has the parity of beta: mod 2 it is the sum of the
         # branch shares, alpha_i + 1 per nest, and sum(alpha) + beta = 25
-        # (see CandidateSpace).  So the budget test is the bound alone.
+        # (checked in _Search.__init__).  So the budget test is the bound alone.
         over_budget = _budget_violation(
             ext_used + sum(abs(v) for v in y_pinned), beta, (lam0, *pinned, *lam456)
         )
@@ -720,16 +687,7 @@ def eliminate(
     candidate: CurveType, scheme: RealScheme, ablate: tuple[str, ...] = ()
 ) -> ProofTrace:
     """Exhaustively explore one candidate; eliminated or survives-with-witness."""
-    return _Search(CandidateSpace(candidate, scheme), ablate).run()
-
-
-def ledger_satisfiable(
-    space: CandidateSpace,
-    ablate: tuple[str, ...] = (),
-    required_case: Optional[int] = None,
-) -> Optional[OrientationLedger]:
-    """First ledger satisfying every active rule on the space, if any."""
-    return _Search(space, ablate, required_case=required_case).run().witness
+    return _Search(candidate, scheme, ablate).run()
 
 
 # ---------------------------------------------------------------------------
@@ -793,12 +751,8 @@ class ExclusionReport:
 def _scheme_result(
     scheme: RealScheme, ablate: tuple[str, ...]
 ) -> SchemeResult:
-    traces = []
-    for candidate in no_jump_candidates(scheme):
-        traces.append(eliminate(candidate, scheme, ablate))
-    for candidate in jump_candidates(scheme):
-        traces.append(eliminate(candidate, scheme, ablate))
-    return SchemeResult(scheme, tuple(traces))
+    candidates = no_jump_candidates(scheme) + jump_candidates(scheme)
+    return SchemeResult(scheme, tuple(eliminate(c, scheme, ablate) for c in candidates))
 
 
 def prove_theorem1(

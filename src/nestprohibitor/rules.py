@@ -459,13 +459,23 @@ def _parse_short_scheme(text: str) -> NestScheme:
 
 def _rederive(rule_id: str, e: dict) -> Optional[dict]:
     """The rule's predicate re-run on the inputs that the evidence records,
-    each number taken as the int the engine writes."""
+    each number taken as the int the engine writes; ValueError for a value
+    outside the engine's domain."""
 
     def ints(key: str) -> list[int]:
         return [int(v) for v in e[key]]
 
     def optional(key: str) -> Optional[int]:
         return None if e.get(key) is None else int(e[key])
+
+    def within(value: int, domain) -> int:
+        if value not in domain:
+            raise ValueError(f"{value} is outside {domain}")
+        return value
+
+    def zone(first: int) -> int:
+        """The k of "Tk": corners 1..3, or any triangle 0..3."""
+        return within(int(e["zone"][1:]), range(first, 4))
 
     if rule_id == "rm":
         return _rm_violation(int(e["residual"]))
@@ -476,7 +486,7 @@ def _rederive(rule_id: str, e: dict) -> Optional[dict]:
             return _deficit_identity_violation(int(e["deficit_required"]), int(e["deficit_forced"]))
         if "required_budget" in e:
             return _budget_violation(int(e["required_budget"]), int(e["budget"]), ints("lambda"))
-        return _unreachable_violation(int(e["zone"][1:]), int(e["required"]), ints("reachable"))
+        return _unreachable_violation(zone(1), int(e["required"]), ints("reachable"))
     if rule_id == "lambda0_bound":
         reason = e.get("reason")
         return _lambda0_violation(
@@ -486,17 +496,21 @@ def _rederive(rule_id: str, e: dict) -> Optional[dict]:
             () if reason == "no empty quadrangle" else None,
         )
     if rule_id == "triangle_bound":
-        return _triangle_violation(int(e["lambda"]), optional("deficit"), int(e["zone"][1:]))
+        return _triangle_violation(int(e["lambda"]), optional("deficit"), zone(1))
     if rule_id == "exterior_zone":
-        return _exterior_zone_violation(int(e["zone"][1:]), int(e["e_value"]), int(e["population"]))
+        return _exterior_zone_violation(zone(0), int(e["e_value"]), int(e["population"]))
     if rule_id == "separating":
-        return _separating_violation(int(e["nest"]), int(e["f"]), int(e["g_sum"]))
+        nest = within(int(e["nest"]), range(1, 4))
+        return _separating_violation(nest, int(e["f"]), int(e["g_sum"]))
     if rule_id == "empty_triangles":
         return _empty_triangles_violation(tuple(_parse_short_scheme(s) for s in e["schemes"]))
     # jump: the open cases must be ones that Pi_delta leaves open
     pd = int(e["pi_delta"])
     if "open_cases" not in e:
-        return _jump_stage_violation(pd, int(e["nu3"]), e["crossing"])
+        crossing = e["crossing"]  # by identity: 0 == False
+        if not any(crossing is v for v in (None, True, False)):
+            raise ValueError(f"crossing {crossing!r} is not None, True or False")
+        return _jump_stage_violation(pd, within(int(e["nu3"]), (PLUS, MINUS)), crossing)
     open_cases = ints("open_cases")
     possible = {*jump_cases_open(pd, PLUS, None), *jump_cases_open(pd, MINUS, None)}
     if not set(open_cases) <= possible:
@@ -509,7 +523,8 @@ def _rederive(rule_id: str, e: dict) -> Optional[dict]:
 def replay_violation(rule_id: str, evidence: dict) -> bool:
     """True when the rule's predicate, re-run on the inputs the evidence
     records, returns that evidence byte for byte as JSON, so that -8.0 for
-    -8 or 1 for True does not pass; malformed evidence is False."""
+    -8 or 1 for True does not pass; malformed evidence, or a value outside
+    the engine's domain, is False."""
     import json  # replay only; the search does not pay for the import
 
     check_rule_ids([rule_id])

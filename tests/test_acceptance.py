@@ -11,11 +11,9 @@ import time
 import pytest
 
 from nestprohibitor.engine import (
-    CandidateSpace,
-    candidate_complex_types,
     eliminate,
     jump_candidates,
-    ledger_satisfiable,
+    no_jump_candidates,
     prove_proposition2,
     prove_theorem1,
 )
@@ -146,7 +144,7 @@ class TestCriterion5JumpExclusion:
         witness = None
         for scheme in (RealScheme((1, 2, 22), 0), RealScheme((1, 2, 2), 20)):
             for candidate in jump_candidates(scheme):
-                ledger = ledger_satisfiable(CandidateSpace(candidate, scheme))
+                ledger = eliminate(candidate, scheme).witness
                 if ledger is not None:
                     witness = ledger
                     break
@@ -261,7 +259,7 @@ class TestCriterion6Properties:
 
     def test_d_ablation_monotonicity(self):
         scheme = RealScheme((1, 2, 22), 0)
-        candidates = candidate_complex_types(scheme)
+        candidates = no_jump_candidates(scheme) + jump_candidates(scheme)
         survivors = {
             str(c) for c in candidates if eliminate(c, scheme).outcome == "survives"
         }

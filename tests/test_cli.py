@@ -9,7 +9,7 @@ import pytest
 from nestprohibitor.cli import main
 from nestprohibitor.engine import eliminate
 from nestprohibitor.schemes import RealScheme
-from test_engine import FIG20_ROWS, SCHEME_2_2_20, figure20_candidate
+from test_engine import FIG20_ROWS, SCHEME_2_2_20, candidates, figure20_candidate
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "nestprohibitor" / "schemas"
 
@@ -188,11 +188,9 @@ class TestSchemas:
             validator.validate(trace.to_json_dict())
 
     def test_trace_schema_accepts_witnesses(self):
-        from nestprohibitor.engine import candidate_complex_types
-
         validator = make_validator("trace.schema.json")
         scheme = RealScheme((1, 2, 22), 0)
-        for candidate in candidate_complex_types(scheme):
+        for candidate in candidates(scheme):
             trace = eliminate(candidate, scheme)
             if trace.outcome == "survives":
                 validator.validate(trace.to_json_dict())
@@ -202,9 +200,7 @@ class TestSchemas:
     def test_ledger_schema(self):
         validator = make_validator("ledger.schema.json")
         scheme = RealScheme((1, 2, 22), 0)
-        from nestprohibitor.engine import candidate_complex_types
-
-        for candidate in candidate_complex_types(scheme):
+        for candidate in candidates(scheme):
             trace = eliminate(candidate, scheme)
             if trace.witness is not None:
                 validator.validate(trace.witness.to_json_dict())

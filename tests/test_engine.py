@@ -7,18 +7,16 @@ import json
 import pytest
 
 from nestprohibitor.engine import (
-    CandidateSpace,
     EngineError,
-    candidate_complex_types,
     eliminate,
     jump_candidates,
-    ledger_satisfiable,
     no_jump_candidates,
     prove_proposition2,
     prove_theorem1,
     _free_assignments,
     _structural_fit,
 )
+from nestprohibitor.ledger import lambda_deficit
 from nestprohibitor.rules import (
     RULES,
     SATISFIED,
@@ -38,6 +36,7 @@ from nestprohibitor.schemes import (
     RealScheme,
     nest_complex_types,
     parse_real_scheme,
+    pi_delta,
 )
 
 
@@ -70,6 +69,23 @@ FIG20_ROWS = (
 )
 
 SCHEME_2_2_20 = RealScheme((2, 2, 20), 1)
+
+
+def candidates(scheme):
+    """The candidate list every scheme's traces cover."""
+    return no_jump_candidates(scheme) + jump_candidates(scheme)
+
+
+def first_witness(scheme, pd, nu3=None):
+    """The first surviving jump candidate with the given Pi_delta (and
+    nu_3, unless None), with its witness ledger."""
+    for candidate in jump_candidates(scheme):
+        schemes = candidate.schemes
+        if pi_delta(schemes) == pd and nu3 in (None, schemes[2].nu):
+            ledger = eliminate(candidate, scheme).witness
+            if ledger is not None:
+                return candidate, ledger
+    return None, None
 
 
 class TestCandidateEnumeration:
@@ -110,16 +126,21 @@ class TestCandidateEnumeration:
     def test_jump_candidates_exist_for_all_even(self):
         assert len(jump_candidates(SCHEME_2_2_20)) > 0
 
-    def test_candidate_types_exclude_parity_dead_jumps(self):
+    def test_parity_dead_jumps_are_stage_closed(self):
         # for an all-even scheme every jump candidate fails the parity
-        # screen, so the admissible list is jump-free
-        cands = candidate_complex_types(SCHEME_2_2_20)
-        assert all(c.jump is None for c in cands)
-        assert len(cands) == 40
+        # screen: its trace is one jump stage closure
+        traces = [eliminate(c, SCHEME_2_2_20) for c in candidates(SCHEME_2_2_20)]
+        no_jump = len(no_jump_candidates(SCHEME_2_2_20))
+        assert no_jump == 40 and len(traces) > no_jump
+        for trace in traces[no_jump:]:
+            assert [c.rule_id for c in trace.stage_closures] == ["jump"]
+            assert not trace.branches
 
-    def test_candidate_types_keep_open_jumps_for_odd_schemes(self):
-        cands = candidate_complex_types(RealScheme((1, 2, 22), 0))
-        assert any(c.jump is not None for c in cands)
+    def test_open_jumps_reach_the_branches_for_odd_schemes(self):
+        scheme = RealScheme((1, 2, 22), 0)
+        assert any(
+            not eliminate(c, scheme).stage_closures for c in jump_candidates(scheme)
+        )
 
     def test_per_nest_options_for_alpha_one(self):
         assert len(nest_complex_types(1)) == 8
@@ -197,36 +218,19 @@ class TestJumpExclusion:
                 assert trace.stage_closures[0].evidence["pi_delta"] in (-2, 0, 2)
 
     def test_case2_witness_exists_on_an_odd_scheme(self):
-        scheme = RealScheme((1, 2, 2), 20)
-        witnesses = []
-        for candidate in jump_candidates(scheme):
-            if candidate.schemes[2].nu != PLUS:
-                continue
-            ledger = ledger_satisfiable(
-                CandidateSpace(candidate, scheme), required_case=2
-            )
-            if ledger is not None:
-                witnesses.append((candidate, ledger))
-                break
-        assert witnesses
-        candidate, ledger = witnesses[0]
+        # Pi_delta 3 with nu_3 = + leaves only the crossing case open
+        candidate, ledger = first_witness(RealScheme((1, 2, 2), 20), 3, PLUS)
+        assert ledger is not None
         assert ledger.pi_delta == 3
         assert ledger.lam[0] - ledger.lam[4] - ledger.lam[5] == -1
         assert rule_jump(Candidate(curve_type=candidate, ledger=ledger)).status == SATISFIED
 
     def test_case3_witness_exists_on_the_sanity_scheme(self):
-        scheme = RealScheme((1, 2, 22), 0)
-        for candidate in jump_candidates(scheme):
-            if candidate.schemes[2].nu != MINUS:
-                continue
-            ledger = ledger_satisfiable(
-                CandidateSpace(candidate, scheme), required_case=3
-            )
-            if ledger is not None:
-                assert ledger.pi_delta == 3
-                assert ledger.lam[6] == 1
-                return
-        pytest.fail("no non-crossing witness found")
+        # Pi_delta 3 with nu_3 = - leaves only the non-crossing case open
+        _, ledger = first_witness(RealScheme((1, 2, 22), 0), 3, MINUS)
+        assert ledger is not None, "no non-crossing witness found"
+        assert ledger.pi_delta == 3
+        assert ledger.lam[6] == 1
 
 
 class TestSanitySurvivor:
@@ -234,7 +238,7 @@ class TestSanitySurvivor:
         scheme = RealScheme((1, 2, 22), 0)
         survivors = [
             t
-            for t in (eliminate(c, scheme) for c in candidate_complex_types(scheme))
+            for t in (eliminate(c, scheme) for c in candidates(scheme))
             if t.outcome == "survives"
         ]
         assert survivors
@@ -244,28 +248,22 @@ class TestSanitySurvivor:
 
 class TestSatisfiability:
     def test_contradictory_forced_central_value(self):
+        # the all-negative row forces lambda_0 = -4 on every net
         candidate = figure20_candidate(FIG20_ROWS[4], SCHEME_2_2_20)
-        space = CandidateSpace(candidate, SCHEME_2_2_20, fixed_lambda={0: -4})
-        assert ledger_satisfiable(space) is None
+        trace = eliminate(candidate, SCHEME_2_2_20)
+        assert trace.outcome == "eliminated"
+        closures = [c for b in trace.branches for c in b.closures]
+        assert len(closures) == 64
+        for closure in closures:
+            assert closure.rule_id == "lambda0_bound"
+            assert closure.evidence["lambda0"] == -4
 
-    def test_all_zero_witness(self):
-        # a jump candidate whose first trichotomy case admits the flat ledger
-        scheme = RealScheme((1, 1, 22), 1)
-        target = None
-        for candidate in jump_candidates(scheme):
-            if (
-                abs(candidate.schemes[2].diff) == 2
-                and candidate.schemes[2].nu == MINUS
-            ):
-                space = CandidateSpace(
-                    candidate, scheme, fixed_lambda={0: 0, 4: 0, 5: 0, 6: 0}
-                )
-                ledger = ledger_satisfiable(space, required_case=1)
-                if ledger is not None and not any(ledger.lam):
-                    target = ledger
-                    break
-        assert target is not None
-        assert target.pi_delta == 4
+    def test_case1_witness_exists(self):
+        # Pi_delta 4 leaves only the deficit-0 case open
+        _, ledger = first_witness(RealScheme((1, 1, 22), 1), 4)
+        assert ledger is not None
+        assert ledger.pi_delta == 4
+        assert lambda_deficit(ledger) == 0
 
     def test_scheme_without_25_empty_ovals_is_refused(self):
         scheme = parse_real_scheme("<J + 1<2> + 1<2> + 1<2> + 1>", strict=False)
@@ -274,7 +272,7 @@ class TestSatisfiability:
 
     def test_population_guard(self):
         with pytest.raises(EngineError):
-            CandidateSpace(
+            eliminate(
                 figure20_candidate(FIG20_ROWS[4], SCHEME_2_2_20),
                 RealScheme((1, 1, 1), 22),
             )
@@ -379,13 +377,13 @@ class TestTraceProperties:
         scheme = RealScheme((1, 2, 22), 0)
         base_survivors = sum(
             1
-            for c in candidate_complex_types(scheme)
+            for c in candidates(scheme)
             if eliminate(c, scheme).outcome == "survives"
         )
         permuted = RealScheme((2, 1, 22), 0)
         permuted_survivors = sum(
             1
-            for c in candidate_complex_types(permuted)
+            for c in candidates(permuted)
             if eliminate(c, permuted).outcome == "survives"
         )
         assert (base_survivors > 0) == (permuted_survivors > 0)
@@ -405,7 +403,7 @@ class TestAblation:
     def test_monotone_in_every_single_rule(self, rule_id):
         # dropping one rule never converts a surviving candidate to eliminated
         scheme = RealScheme((1, 2, 22), 0)
-        for candidate in candidate_complex_types(scheme):
+        for candidate in candidates(scheme):
             full = eliminate(candidate, scheme).outcome
             if full == "survives":
                 ablated = eliminate(candidate, scheme, ablate=(rule_id,)).outcome

@@ -421,6 +421,15 @@ FORGERIES = [
     pytest.param("rm", {"residual": -8.0}, id="rm-float"),
     pytest.param("lemma10", _moved(_UNREACHABLE, unreachable=1), id="lemma10-unreachable-int"),
     pytest.param("lemma10", _moved(_UNREACHABLE, reachable=[0.0]), id="lemma10-reachable-float"),
+    # values outside the engine's domains, which the predicates echo
+    pytest.param("jump", _moved(_JUMP_STAGE, crossing=0), id="jump-crossing-zero"),
+    pytest.param("jump", _moved(_JUMP_STAGE, crossing="x"), id="jump-crossing-string"),
+    pytest.param("jump", _moved(_JUMP_STAGE, nu3=5), id="jump-nu3-5"),
+    pytest.param("triangle_bound", {"zone": "T9", "lambda": 5}, id="triangle-zone-T9"),
+    pytest.param("triangle_bound", {"zone": "T0", "lambda": 5}, id="triangle-zone-T0"),
+    pytest.param("exterior_zone", _moved(_EXTERIOR, zone="T7"), id="exterior-zone-T7"),
+    pytest.param("separating", _moved(_SEPARATING, nest=9), id="separating-nest-9"),
+    pytest.param("lemma10", _moved(_UNREACHABLE, zone="T5"), id="lemma10-unreachable-T5"),
 ]
 
 
