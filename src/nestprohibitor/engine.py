@@ -11,12 +11,21 @@ satisfies every active rule; otherwise each branch is closed by a named
 rule with numeric evidence, and the whole record replays
 deterministically.
 
-The search shares work within a candidate without changing a trace.
-Every branch that asks for the same (free zones, budget, deficit) key
-replays one net sequence, built once and only as far as some branch reads
-it.  Each bound predicate runs once per distinct input, and its closure
-key is stored with the result.  Closures merge by evidence, not by
-predicate inputs, and are listed in the order of their first net.
+Each candidate pays only for what decides it, and no shortcut changes a
+trace.  The stage screen (jump trichotomy, then separating formula) runs
+first, and the state of the branch search is built only for a candidate
+it leaves open; a branch that the empty-triangle list closes outright is
+closed before anything else of it is computed.  Values that do not depend
+on the candidate are computed once per scheme: `prove_theorem1` settles a
+scheme's candidates with one context holding the allowed zones of each
+nest-scheme triple, the chain branches of each nest type and the scheme's
+text, while `eliminate` builds a fresh one.  Within a candidate, every
+branch that asks for the same (free zones, budget, deficit) key replays
+one net sequence, built once and only as far as some branch reads it.
+Each bound predicate, the lemma10 budget included, runs once per distinct
+input, and its closure key is stored with the result.  Closures merge by
+evidence, not by predicate inputs, and are listed in the order of their
+first net.
 
 Interior-chain model (the engine's central commitment, validated against
 the reproduced intermediate values): a separating even nest either
@@ -72,8 +81,6 @@ from .schemes import (
     pi_delta,
     total_pairs,
 )
-
-MAX_ZONE_POP = 25
 
 
 class EngineError(RuntimeError):
@@ -169,16 +176,24 @@ def _jump_repartition(alpha: int, diff: int) -> Jump:
 
 
 def jump_candidates(scheme: RealScheme) -> list[CurveType]:
-    """Jump-bearing candidates, the jumped nest relabeled into slot 3."""
+    """Jump-bearing candidates, the jumped nest relabeled into slot 3.
+
+    The candidates of one jumped nest depend only on the sizes of its two
+    companions, in order, so a jumped nest whose companion sizes were
+    already done is skipped.  The text of a candidate does not record the
+    nest sizes, and candidates of different jumped nests can read alike:
+    the list keeps the first of each text, sorted by text.
+    """
     seen = {}
+    done = set()
     for jumped in range(3):
         others = [x for x in range(3) if x != jumped]
         a_jump = scheme.alpha[jumped]
-        if a_jump < 2:
-            continue  # a jump needs two interior groups
-        companion_options = [
-            nest_complex_types(scheme.alpha[o], jump_allowed=False) for o in others
-        ]
+        companions = tuple(scheme.alpha[o] for o in others)
+        if a_jump < 2 or companions in done:
+            continue  # a jump needs two interior groups; or these are listed
+        done.add(companions)
+        companion_options = [nest_complex_types(a, jump_allowed=False) for a in companions]
         for js in enumerate_nest_schemes(a_jump, jump_allowed=True):
             jumped_ct = ComplexType(js, "n")
             jump = _jump_repartition(a_jump, js.diff)
@@ -360,48 +375,92 @@ _QUAD_ZONES = ((2, 3), (1, 3), (1, 2))
 _UNSEEN = object()
 
 
+class _SchemeContext:
+    """What the candidates of one scheme share: the allowed zones of each
+    nest-scheme triple, the chain branches of each (complex type, jumped)
+    pair, and the scheme's text.  It lives for one scheme's search: no
+    triple recurs in another scheme, since the alpha multiset fixes beta."""
+
+    def __init__(self, scheme: RealScheme):
+        self.scheme_text = str(scheme)
+        self._zones: dict[tuple, tuple[int, ...]] = {}
+        self._branches: dict[tuple, tuple[NestBranch, ...]] = {}
+
+    def zones(self, schemes: tuple[NestScheme, NestScheme, NestScheme]) -> tuple[int, ...]:
+        if schemes not in self._zones:
+            self._zones[schemes] = allowed_zones(*schemes)
+        return self._zones[schemes]
+
+    def branches(self, ct: ComplexType, jumped: bool) -> tuple[NestBranch, ...]:
+        key = (ct, jumped)
+        if key not in self._branches:
+            self._branches[key] = nest_branches(ct, jumped)
+        return self._branches[key]
+
+
 class _Search:
     """The finite search space of one candidate over one real scheme, and
-    its exhaustive search; `eliminate()` runs it."""
+    its exhaustive search; `eliminate()` runs it.
 
-    def __init__(self, curve_type: CurveType, scheme: RealScheme, ablate: tuple[str, ...]):
+    The constructor takes only what every trace needs: the input checks,
+    the allowed zones and the inputs of the stage screen.  The state of the
+    branch search (signs, the empty-triangle verdict, the predicate memos,
+    the net sequences) is built by `_prepare_branches`, and only for a
+    candidate that the stage screen leaves open.  `context` holds what the
+    candidates of the scheme share.
+    """
+
+    def __init__(
+        self,
+        curve_type: CurveType,
+        scheme: RealScheme,
+        ablate: tuple[str, ...],
+        context: _SchemeContext,
+    ):
         if sorted(curve_type.alphas()) != sorted(scheme.alpha):
             raise EngineError("candidate nests do not match the scheme")
-        if scheme.beta > MAX_ZONE_POP or max(scheme.alpha) > MAX_ZONE_POP:
-            raise EngineError(f"zone population bound {MAX_ZONE_POP} exceeded")
         if sum(scheme.alpha) + scheme.beta != EMPTY_OVALS:
             raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
         check_rule_ids(ablate)
         self.ct = curve_type
         self.scheme = scheme
+        self.context = context
         self.ablate = set(ablate)
         self.schemes = self.ct.schemes
         self.beta = self.scheme.beta
         self.pd = pi_delta(self.schemes)
-        self.identities = "lemma10" not in self.ablate
         if "exterior_zone" in self.ablate:
             self.zones = (0, 1, 2, 3)
         else:
-            self.zones = allowed_zones(*self.schemes)
+            self.zones = context.zones(self.schemes)
+        # The trichotomy inputs; None where the candidate has no jump or the
+        # rule is ablated.
+        self.jump_inputs = None
+        if self.ct.jump is not None and self.active("jump"):
+            self.jump_inputs = (self.pd, self.schemes[2].nu, self.ct.jump.crossing)
+
+    def _prepare_branches(self) -> None:
+        """The candidate-level state of the branch search."""
+        self.identities = "lemma10" not in self.ablate
         # A net padded with one 0 gives (x0, x1, x2, x3) through `spread`.
         self.spread = operator.itemgetter(
             *(self.zones.index(z) if z in self.zones else len(self.zones) for z in range(4))
         )
         self.nest_signs = tuple(s.nu for s in self.schemes)
+        self.all_separating = all(ct.separating for ct in self.ct.nests)
         # Candidate-level inputs of the per-net checks; None where the rule
         # is ablated or, for the jump's numeric tier, does not apply.
-        self.empty_triangles = self.jump_inputs = self.open_cases = None
+        self.empty_triangles = self.open_cases = None
         if self.active("empty_triangles"):
             self.empty_triangles = _empty_triangles_violation(self.schemes)
-        if self.ct.jump is not None and self.active("jump"):
-            self.jump_inputs = (self.pd, self.schemes[2].nu, self.ct.jump.crossing)
+        if self.jump_inputs is not None:
             self.open_cases = jump_cases_open(*self.jump_inputs)
-        self.all_separating = all(ct.separating for ct in self.ct.nests)
         # Each bound predicate runs once per distinct argument tuple in this
         # candidate; the memo holds the closure key of its evidence, or None.
         self.jump_seen = {} if self.open_cases is not None else None
         self.lambda0_seen = {} if self.active("lambda0_bound") else None
         self.triangle_seen = {} if self.active("triangle_bound") else None
+        self.budget_seen: dict[tuple, Optional[tuple]] = {}
         self.evidence: dict[tuple, dict] = {}  # closure key -> evidence
         # The net sequences of this candidate's branches, one per key.
         self.nets: dict[tuple, tuple[list, Iterator]] = {}
@@ -443,7 +502,7 @@ class _Search:
     def branch_combos(self) -> Iterator[tuple[NestBranch, NestBranch, NestBranch]]:
         jumped_index = self.ct.jump.nest_index - 1 if self.ct.jump else None
         per_nest = [
-            nest_branches(ct, jumped=(i == jumped_index))
+            self.context.branches(ct, i == jumped_index)
             for i, ct in enumerate(self.ct.nests)
         ]
         yield from itertools.product(*per_nest)
@@ -463,6 +522,14 @@ class _Search:
         Closures are listed in the order of their first net.
         """
         b1, b2, b3 = branches
+        pop_t0 = b1.pop_t0 + b2.pop_t0 + b3.pop_t0
+        pops_t = (b1.pop_t, b2.pop_t, b3.pop_t)
+        no_pop = pop_t0 == 0 and not any(pops_t)
+
+        # Triangles forced empty: the list rule applies before any solving.
+        if no_pop and (not self.zones or self.beta == 0) and self.empty_triangles:
+            return [Closure("empty_triangles", self.empty_triangles)], 0, None
+
         sh0 = b1.lam0 + b2.lam0 + b3.lam0
         t4, t5, t6 = b1.lam_t, b2.lam_t, b3.lam_t
         eps = self.nest_signs + (b1.eps, b2.eps, b3.eps)
@@ -476,13 +543,6 @@ class _Search:
             quad_net[zj] += b.w[0]
             quad_net[zk] += b.w[1]
         q1, q2, q3 = (quad_net[q] == 0 for q in (1, 2, 3))
-        pop_t0 = b1.pop_t0 + b2.pop_t0 + b3.pop_t0
-        pops_t = (b1.pop_t, b2.pop_t, b3.pop_t)
-        no_pop = pop_t0 == 0 and not any(pops_t)
-
-        # Triangles forced empty: the list rule applies before any solving.
-        if no_pop and (not self.zones or self.beta == 0) and self.empty_triangles:
-            return [Closure("empty_triangles", self.empty_triangles)], 0, None
 
         deficit_rhs = None
         if self.identities:
@@ -575,15 +635,18 @@ class _Search:
         # The cost always has the parity of beta: mod 2 it is the sum of the
         # branch shares, alpha_i + 1 per nest, and sum(alpha) + beta = 25
         # (checked in _Search.__init__).  So the budget test is the bound alone.
-        over_budget = _budget_violation(
-            ext_used + sum(abs(v) for v in y_pinned), beta, (lam0, *pinned, *lam456)
-        )
+        args = (ext_used + sum(abs(v) for v in y_pinned), (lam0, *pinned, *lam456))
+        over_budget = self.budget_seen.get(args, _UNSEEN)
+        if over_budget is _UNSEEN:
+            over_budget = self.budget_seen[args] = self._closure_key(
+                "lemma10", _budget_violation(args[0], beta, args[1])
+            )
         if not over_budget:
             # the identities' solution, the preferred witness shape even
             # when they are ablated (keeps ablation monotone)
             lam123, y = pinned, y_pinned
         elif self.identities:
-            self._close(tally, "lemma10", over_budget)
+            tally[over_budget] = tally.get(over_budget, 0) + 1
             return None
         else:
             # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1;
@@ -645,15 +708,17 @@ class _Search:
     def run(self) -> ProofTrace:
         stage = self.stage_closures()
         zones = self.zones
+        scheme_text = self.context.scheme_text
         if stage:
             return ProofTrace(
                 candidate=str(self.ct),
-                scheme=str(self.scheme),
+                scheme=scheme_text,
                 outcome="eliminated",
                 zones_allowed=zones,
                 stage_closures=tuple(stage),
                 branches=(),
             )
+        self._prepare_branches()
         records = []
         for combo in self.branch_combos():
             closures, checked, witness = self.explore_branch(combo)
@@ -665,7 +730,7 @@ class _Search:
             if witness is not None:
                 return ProofTrace(
                     candidate=str(self.ct),
-                    scheme=str(self.scheme),
+                    scheme=scheme_text,
                     outcome="survives",
                     zones_allowed=zones,
                     stage_closures=(),
@@ -675,7 +740,7 @@ class _Search:
             records.append(record)
         return ProofTrace(
             candidate=str(self.ct),
-            scheme=str(self.scheme),
+            scheme=scheme_text,
             outcome="eliminated",
             zones_allowed=zones,
             stage_closures=(),
@@ -687,7 +752,7 @@ def eliminate(
     candidate: CurveType, scheme: RealScheme, ablate: tuple[str, ...] = ()
 ) -> ProofTrace:
     """Exhaustively explore one candidate; eliminated or survives-with-witness."""
-    return _Search(candidate, scheme, ablate).run()
+    return _Search(candidate, scheme, ablate, _SchemeContext(scheme)).run()
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +817,10 @@ def _scheme_result(
     scheme: RealScheme, ablate: tuple[str, ...]
 ) -> SchemeResult:
     candidates = no_jump_candidates(scheme) + jump_candidates(scheme)
-    return SchemeResult(scheme, tuple(eliminate(c, scheme, ablate) for c in candidates))
+    context = _SchemeContext(scheme)
+    return SchemeResult(
+        scheme, tuple(_Search(c, scheme, ablate, context).run() for c in candidates)
+    )
 
 
 def prove_theorem1(

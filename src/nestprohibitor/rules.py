@@ -28,6 +28,7 @@ from typing import Callable, Optional
 from .ledger import OrientationLedger, lambda_deficit, lemma10_residuals, rm_residual
 from .orevkov import allowed_zones, e_values, f_value, g_value
 from .schemes import (
+    EMPTY_OVALS,
     MINUS,
     PLUS,
     CurveType,
@@ -485,7 +486,12 @@ def _rederive(rule_id: str, e: dict) -> Optional[dict]:
         if "deficit_required" in e:
             return _deficit_identity_violation(int(e["deficit_required"]), int(e["deficit_forced"]))
         if "required_budget" in e:
-            return _budget_violation(int(e["required_budget"]), int(e["budget"]), ints("lambda"))
+            # beta = 25 - sum(alpha) with every alpha_i >= 1, and seven lambdas
+            budget = within(int(e["budget"]), range(EMPTY_OVALS - 2))
+            lam = ints("lambda")
+            if len(lam) != 7:
+                raise ValueError(f"{len(lam)} lambda values, not 7")
+            return _budget_violation(int(e["required_budget"]), budget, lam)
         return _unreachable_violation(zone(1), int(e["required"]), ints("reachable"))
     if rule_id == "lambda0_bound":
         reason = e.get("reason")
@@ -504,8 +510,9 @@ def _rederive(rule_id: str, e: dict) -> Optional[dict]:
         return _separating_violation(nest, int(e["f"]), int(e["g_sum"]))
     if rule_id == "empty_triangles":
         return _empty_triangles_violation(tuple(_parse_short_scheme(s) for s in e["schemes"]))
-    # jump: the open cases must be ones that Pi_delta leaves open
-    pd = int(e["pi_delta"])
+    # jump: |Pi_delta| <= 4, as |diff| <= 2 in the jumped nest and <= 1
+    # elsewhere; the open cases, never none, must be ones it leaves open
+    pd = within(int(e["pi_delta"]), range(-4, 5))
     if "open_cases" not in e:
         crossing = e["crossing"]  # by identity: 0 == False
         if not any(crossing is v for v in (None, True, False)):
@@ -513,7 +520,7 @@ def _rederive(rule_id: str, e: dict) -> Optional[dict]:
         return _jump_stage_violation(pd, within(int(e["nu3"]), (PLUS, MINUS)), crossing)
     open_cases = ints("open_cases")
     possible = {*jump_cases_open(pd, PLUS, None), *jump_cases_open(pd, MINUS, None)}
-    if not set(open_cases) <= possible:
+    if not open_cases or not set(open_cases) <= possible:
         return None
     return _jump_violation(
         pd, open_cases, int(e["deficit"]), int(e["lambda045"]), int(e["lambda6"])

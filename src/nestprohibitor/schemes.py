@@ -14,6 +14,7 @@ Everything is an immutable value; all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 DEGREE = 9
@@ -453,6 +454,12 @@ class CurveType:
         return tuple(ct.scheme.alpha for ct in self.nests)
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The text of `__str__`, built once: the enumerator sorts and
+        deduplicates candidates by it, and every trace records it."""
         body = ", ".join(str(ct) for ct in self.nests)
         if self.jump is None:
             return f"[{body}]"

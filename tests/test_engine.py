@@ -8,6 +8,7 @@ import pytest
 
 from nestprohibitor.engine import (
     EngineError,
+    _jump_repartition,
     eliminate,
     jump_candidates,
     no_jump_candidates,
@@ -34,6 +35,8 @@ from nestprohibitor.schemes import (
     Jump,
     NestScheme,
     RealScheme,
+    enumerate_nest_schemes,
+    enumerate_three_nest_schemes,
     nest_complex_types,
     parse_real_scheme,
     pi_delta,
@@ -86,6 +89,25 @@ def first_witness(scheme, pd, nu3=None):
             if ledger is not None:
                 return candidate, ledger
     return None, None
+
+
+def reference_jump_candidates(scheme):
+    """Every jumped nest tried in turn, the candidates deduplicated by text."""
+    seen = {}
+    for jumped in range(3):
+        others = [x for x in range(3) if x != jumped]
+        a_jump = scheme.alpha[jumped]
+        if a_jump < 2:
+            continue
+        options = [nest_complex_types(scheme.alpha[o]) for o in others]
+        for js in enumerate_nest_schemes(a_jump, jump_allowed=True):
+            jumped_ct = ComplexType(js, "n")
+            jump = _jump_repartition(a_jump, js.diff)
+            for c1, c2 in itertools.product(*options):
+                if _structural_fit((c1, c2, jumped_ct)):
+                    candidate = CurveType((c1, c2, jumped_ct), jump)
+                    seen.setdefault(str(candidate), candidate)
+    return [seen[k] for k in sorted(seen)]
 
 
 class TestCandidateEnumeration:
@@ -141,6 +163,16 @@ class TestCandidateEnumeration:
         assert any(
             not eliminate(c, scheme).stage_closures for c in jump_candidates(scheme)
         )
+
+    def test_jump_candidates_equal_the_reference_on_repeated_sizes(self):
+        # a jumped nest whose companion sizes were done is skipped; in the
+        # stored nest order (2, 1, 2) nests 1 and 3 have the same size, but
+        # their companion sizes, (1, 2) and (2, 1), differ
+        schemes = [
+            s for s in enumerate_three_nest_schemes() if len(set(s.alpha)) < 3
+        ] + [RealScheme((2, 1, 2), 20)]
+        for scheme in schemes:
+            assert jump_candidates(scheme) == reference_jump_candidates(scheme), scheme
 
     def test_per_nest_options_for_alpha_one(self):
         assert len(nest_complex_types(1)) == 8
@@ -270,8 +302,13 @@ class TestSatisfiability:
         with pytest.raises(EngineError):
             prove_theorem1(schemes=[scheme])
 
-    def test_population_guard(self):
-        with pytest.raises(EngineError):
+    def test_population_over_25_fails_the_oval_count(self):
+        scheme = parse_real_scheme("<J + 1<1> + 1<1> + 1<1> + 26>", strict=False)
+        with pytest.raises(EngineError, match="the scheme does not have 25 empty ovals"):
+            prove_theorem1(schemes=[scheme])
+
+    def test_candidate_of_another_scheme_is_refused(self):
+        with pytest.raises(EngineError, match="candidate nests do not match the scheme"):
             eliminate(
                 figure20_candidate(FIG20_ROWS[4], SCHEME_2_2_20),
                 RealScheme((1, 1, 1), 22),
@@ -502,6 +539,29 @@ class TestTheorem1:
                         trace.candidate,
                         closure,
                     )
+
+
+# The pinned schemes and one all-even scheme, each unablated and with one
+# of three rules ablated; the most-nets scheme is left out with lemma10
+# ablated, where one run of it takes 24 s.
+CONTEXT_CASES = [
+    (scheme, ablate)
+    for scheme in [p.values[0] for p in SCHEME_TRACES] + ["<J + 1<2> + 1<2> + 1<20> + 1>"]
+    for ablate in [(), ("exterior_zone",), ("empty_triangles",), ("lemma10",)]
+    if (scheme, ablate) != ("<J + 1<5> + 1<5> + 1<9> + 6>", ("lemma10",))
+]
+
+
+class TestSchemeContext:
+    # prove_theorem1 shares the allowed zones, the chain branches and the
+    # scheme text across a scheme's candidates; eliminate builds them anew.
+    @pytest.mark.parametrize("scheme, ablate", CONTEXT_CASES)
+    def test_scheme_run_equals_standalone_eliminate(self, scheme, ablate):
+        real = parse_real_scheme(scheme)
+        report = prove_theorem1(ablate=ablate, schemes=[real])
+        shared = [t.to_json_dict() for t in report.results[0].traces]
+        standalone = [eliminate(c, real, ablate).to_json_dict() for c in candidates(real)]
+        assert json.dumps(shared) == json.dumps(standalone)
 
 
 class TestProposition2:

@@ -430,6 +430,10 @@ FORGERIES = [
     pytest.param("exterior_zone", _moved(_EXTERIOR, zone="T7"), id="exterior-zone-T7"),
     pytest.param("separating", _moved(_SEPARATING, nest=9), id="separating-nest-9"),
     pytest.param("lemma10", _moved(_UNREACHABLE, zone="T5"), id="lemma10-unreachable-T5"),
+    pytest.param("jump", _moved(_JUMP_STAGE, pi_delta=99), id="jump-stage-pi-delta-99"),
+    pytest.param("jump", _moved(_JUMP_OPEN, open_cases=[]), id="jump-no-open-case"),
+    pytest.param("lemma10", _moved(_BUDGET, budget=-5), id="lemma10-negative-budget"),
+    pytest.param("lemma10", _moved(_BUDGET, **{"lambda": [0]}), id="lemma10-one-lambda"),
 ]
 
 
