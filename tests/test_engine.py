@@ -456,6 +456,8 @@ THEOREM1_TRACE_SHA256 = "9521f039953ad3eb69d61f0e24b9c88a1414f51b21ffcc5f0ea74a4
 # lowbeta benchmark, the second is its beta = 22 scheme, where witnesses
 # stop early; in the third, with the deficit identity ablated, closures whose
 # predicate inputs differ (the deficit) carry the same evidence and merge.
+# The last two ablate a rule of the stage screen, so candidates it would
+# close reach the branch search instead.
 SCHEME_TRACES = [
     pytest.param(
         "<J + 1<5> + 1<5> + 1<9> + 6>", (), 386, 110608,
@@ -471,6 +473,16 @@ SCHEME_TRACES = [
         "<J + 1<1> + 1<2> + 1<8> + 14>", ("lemma10",), 282, 5736,
         "319db22c47d380945eb9368dd19e41b8c50ae0806a84d3434eb9c7270a9d77b2",
         id="lemma10-ablated",
+    ),
+    pytest.param(
+        "<J + 1<1> + 1<2> + 1<8> + 14>", ("jump",), 282, 16339,
+        "b4deb33d01e7e0db361d3cc6dcf47d276ab004b4899c4ea5a430064168c24825",
+        id="jump-ablated",
+    ),
+    pytest.param(
+        "<J + 1<2> + 1<2> + 1<20> + 1>", ("separating",), 184, 608,
+        "f78dabe82bc9a00d04bd5798edd84dd4e3ddc835a5da57009b057c489e40a187",
+        id="separating-ablated",
     ),
 ]
 
@@ -541,14 +553,16 @@ class TestTheorem1:
                     )
 
 
-# The pinned schemes and one all-even scheme, each unablated and with one
-# of three rules ablated; the most-nets scheme is left out with lemma10
-# ablated, where one run of it takes 24 s.
+# The pinned schemes, each unablated and with one of five rules ablated; the
+# most-nets scheme is left out with lemma10 or jump ablated, where one run of
+# it takes 24 s or 6 s.
 CONTEXT_CASES = [
     (scheme, ablate)
-    for scheme in [p.values[0] for p in SCHEME_TRACES] + ["<J + 1<2> + 1<2> + 1<20> + 1>"]
-    for ablate in [(), ("exterior_zone",), ("empty_triangles",), ("lemma10",)]
-    if (scheme, ablate) != ("<J + 1<5> + 1<5> + 1<9> + 6>", ("lemma10",))
+    for scheme in dict.fromkeys(p.values[0] for p in SCHEME_TRACES)
+    for ablate in [
+        (), ("exterior_zone",), ("empty_triangles",), ("lemma10",), ("jump",), ("separating",)
+    ]
+    if scheme != "<J + 1<5> + 1<5> + 1<9> + 6>" or ablate not in [("lemma10",), ("jump",)]
 ]
 
 
