@@ -12,14 +12,14 @@ rule with numeric evidence, and the whole record replays
 deterministically.
 
 Each candidate pays only for what decides it, and no shortcut changes a
-trace.  The stage screen (jump trichotomy, then separating formula) runs
-first, and the state of the branch search is built only for a candidate
-it leaves open; a branch that the empty-triangle list closes outright is
-closed before anything else of it is computed.  Values that do not depend
-on the candidate are computed once per scheme: `prove_theorem1` settles a
-scheme's candidates with one context holding the allowed zones of each
-nest-scheme triple, the chain branches of each nest type and the scheme's
-text, while `eliminate` builds a fresh one.  Within a candidate, every
+trace.  One function settles a list of one scheme's candidates:
+`prove_theorem1` passes all of them, `eliminate` passes one.  It checks the
+scheme and the ablated rule ids once, and the candidates share the allowed
+zones of each nest-scheme triple and the chain branches of each nest type.
+The stage screen (jump trichotomy, then separating formula) runs first,
+and the branch search is built only for a candidate it leaves open; a
+branch that the empty-triangle list closes outright is closed before
+anything else of it is computed.  Within a candidate, every
 branch that asks for the same (free zones, budget, deficit) key replays
 one net sequence, built once and only as far as some branch reads it.
 Each bound predicate, the lemma10 budget included, runs once per distinct
@@ -171,8 +171,8 @@ def no_jump_candidates(scheme: RealScheme) -> list[CurveType]:
 
 def _jump_repartition(alpha: int, diff: int) -> Jump:
     if abs(diff) == 2:
-        return Jump(3, (1, 1, alpha - 1))  # all odd: forces the imbalance 2
-    return Jump(3, (1, 2, alpha - 1))  # even middle group: imbalance stays small
+        return Jump((1, 1, alpha - 1))  # all odd: forces the imbalance 2
+    return Jump((1, 2, alpha - 1))  # even middle group: imbalance stays small
 
 
 def jump_candidates(scheme: RealScheme) -> list[CurveType]:
@@ -375,39 +375,26 @@ _QUAD_ZONES = ((2, 3), (1, 3), (1, 2))
 _UNSEEN = object()
 
 
-class _SchemeContext:
-    """What the candidates of one scheme share: the allowed zones of each
-    nest-scheme triple, the chain branches of each (complex type, jumped)
-    pair, and the scheme's text.  It lives for one scheme's search: no
-    triple recurs in another scheme, since the alpha multiset fixes beta."""
-
-    def __init__(self, scheme: RealScheme):
-        self.scheme_text = str(scheme)
-        self._zones: dict[tuple, tuple[int, ...]] = {}
-        self._branches: dict[tuple, tuple[NestBranch, ...]] = {}
-
-    def zones(self, schemes: tuple[NestScheme, NestScheme, NestScheme]) -> tuple[int, ...]:
-        if schemes not in self._zones:
-            self._zones[schemes] = allowed_zones(*schemes)
-        return self._zones[schemes]
-
-    def branches(self, ct: ComplexType, jumped: bool) -> tuple[NestBranch, ...]:
-        key = (ct, jumped)
-        if key not in self._branches:
-            self._branches[key] = nest_branches(ct, jumped)
-        return self._branches[key]
+def _stage_closures(
+    curve_type: CurveType, pd: int, ablate: tuple[str, ...]
+) -> tuple[Closure, ...]:
+    """The stage screen: the jump trichotomy, then the separating formula."""
+    if curve_type.jump is not None and "jump" not in ablate:
+        violation = _jump_stage_violation(pd, curve_type.schemes[2].nu, curve_type.jump.crossing)
+        if violation:
+            return (Closure("jump", violation),)
+    if "separating" not in ablate:
+        verdict = RULES["separating"](Candidate(curve_type=curve_type))
+        if verdict.status == VIOLATED:
+            return (Closure("separating", verdict.evidence),)
+    return ()
 
 
 class _Search:
-    """The finite search space of one candidate over one real scheme, and
-    its exhaustive search; `eliminate()` runs it.
-
-    The constructor takes only what every trace needs: the input checks,
-    the allowed zones and the inputs of the stage screen.  The state of the
-    branch search (signs, the empty-triangle verdict, the predicate memos,
-    the net sequences) is built by `_prepare_branches`, and only for a
-    candidate that the stage screen leaves open.  `context` holds what the
-    candidates of the scheme share.
+    """The branch search of one candidate that the stage screen leaves
+    open: every combination of its nests' chain branches (`per_nest`), each
+    explored by `explore_branch`.  `run()` returns the branch records and
+    the witness, or None.
     """
 
     def __init__(
@@ -415,33 +402,19 @@ class _Search:
         curve_type: CurveType,
         scheme: RealScheme,
         ablate: tuple[str, ...],
-        context: _SchemeContext,
+        pd: int,
+        zones: tuple[int, ...],
+        per_nest: list[tuple[NestBranch, ...]],
     ):
-        if sorted(curve_type.alphas()) != sorted(scheme.alpha):
-            raise EngineError("candidate nests do not match the scheme")
-        if sum(scheme.alpha) + scheme.beta != EMPTY_OVALS:
-            raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
-        check_rule_ids(ablate)
         self.ct = curve_type
         self.scheme = scheme
-        self.context = context
-        self.ablate = set(ablate)
-        self.schemes = self.ct.schemes
-        self.beta = self.scheme.beta
-        self.pd = pi_delta(self.schemes)
-        if "exterior_zone" in self.ablate:
-            self.zones = (0, 1, 2, 3)
-        else:
-            self.zones = context.zones(self.schemes)
-        # The trichotomy inputs; None where the candidate has no jump or the
-        # rule is ablated.
-        self.jump_inputs = None
-        if self.ct.jump is not None and self.active("jump"):
-            self.jump_inputs = (self.pd, self.schemes[2].nu, self.ct.jump.crossing)
-
-    def _prepare_branches(self) -> None:
-        """The candidate-level state of the branch search."""
-        self.identities = "lemma10" not in self.ablate
+        self.ablate = ablate
+        self.schemes = curve_type.schemes
+        self.beta = scheme.beta
+        self.pd = pd
+        self.zones = zones
+        self.per_nest = per_nest
+        self.identities = "lemma10" not in ablate
         # A net padded with one 0 gives (x0, x1, x2, x3) through `spread`.
         self.spread = operator.itemgetter(
             *(self.zones.index(z) if z in self.zones else len(self.zones) for z in range(4))
@@ -451,22 +424,19 @@ class _Search:
         # Candidate-level inputs of the per-net checks; None where the rule
         # is ablated or, for the jump's numeric tier, does not apply.
         self.empty_triangles = self.open_cases = None
-        if self.active("empty_triangles"):
+        if "empty_triangles" not in ablate:
             self.empty_triangles = _empty_triangles_violation(self.schemes)
-        if self.jump_inputs is not None:
-            self.open_cases = jump_cases_open(*self.jump_inputs)
+        if curve_type.jump is not None and "jump" not in ablate:
+            self.open_cases = jump_cases_open(pd, self.schemes[2].nu, curve_type.jump.crossing)
         # Each bound predicate runs once per distinct argument tuple in this
         # candidate; the memo holds the closure key of its evidence, or None.
         self.jump_seen = {} if self.open_cases is not None else None
-        self.lambda0_seen = {} if self.active("lambda0_bound") else None
-        self.triangle_seen = {} if self.active("triangle_bound") else None
+        self.lambda0_seen = {} if "lambda0_bound" not in ablate else None
+        self.triangle_seen = {} if "triangle_bound" not in ablate else None
         self.budget_seen: dict[tuple, Optional[tuple]] = {}
         self.evidence: dict[tuple, dict] = {}  # closure key -> evidence
         # The net sequences of this candidate's branches, one per key.
         self.nets: dict[tuple, tuple[list, Iterator]] = {}
-
-    def active(self, rule_id: str) -> bool:
-        return rule_id not in self.ablate
 
     def _closure_key(self, rule_id: str, violation: Optional[dict]) -> Optional[tuple]:
         """None for no violation, else the key that merges equal evidence."""
@@ -482,30 +452,6 @@ class _Search:
 
     def _closures(self, tally: dict) -> list[Closure]:
         return [Closure(key[0], self.evidence[key], n) for key, n in tally.items()]
-
-    # -- stage 1: candidate-level rules ---------------------------------
-
-    def stage_closures(self) -> list[Closure]:
-        # The jump trichotomy screens first, as in the main case analysis.
-        if self.jump_inputs is not None:
-            violation = _jump_stage_violation(*self.jump_inputs)
-            if violation:
-                return [Closure("jump", violation)]
-        if self.active("separating"):
-            verdict = RULES["separating"](Candidate(curve_type=self.ct))
-            if verdict.status == VIOLATED:
-                return [Closure("separating", verdict.evidence)]
-        return []
-
-    # -- stage 2: branch exploration -------------------------------------
-
-    def branch_combos(self) -> Iterator[tuple[NestBranch, NestBranch, NestBranch]]:
-        jumped_index = self.ct.jump.nest_index - 1 if self.ct.jump else None
-        per_nest = [
-            self.context.branches(ct, i == jumped_index)
-            for i, ct in enumerate(self.ct.nests)
-        ]
-        yield from itertools.product(*per_nest)
 
     def explore_branch(
         self, branches: tuple[NestBranch, ...]
@@ -634,7 +580,7 @@ class _Search:
         y_pinned = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
         # The cost always has the parity of beta: mod 2 it is the sum of the
         # branch shares, alpha_i + 1 per nest, and sum(alpha) + beta = 25
-        # (checked in _Search.__init__).  So the budget test is the bound alone.
+        # (checked in _settle).  So the budget test is the bound alone.
         args = (ext_used + sum(abs(v) for v in y_pinned), (lam0, *pinned, *lam456))
         over_budget = self.budget_seen.get(args, _UNSEEN)
         if over_budget is _UNSEEN:
@@ -696,31 +642,16 @@ class _Search:
             triangles_empty=all(p == 0 for p in (pops[0], pops[4], pops[5], pops[6])),
             exterior_triangle_pops=tuple(abs(x) for x in xs),
         )
-        verdicts = evaluate_all(candidate, ablate=tuple(self.ablate))
+        verdicts = evaluate_all(candidate, ablate=self.ablate)
         for rule_id, verdict in verdicts.items():
             if verdict.status == VIOLATED:
                 self._close(tally, rule_id, verdict.evidence)
                 return None
         return ledger
 
-    # -- public drivers ---------------------------------------------------
-
-    def run(self) -> ProofTrace:
-        stage = self.stage_closures()
-        zones = self.zones
-        scheme_text = self.context.scheme_text
-        if stage:
-            return ProofTrace(
-                candidate=str(self.ct),
-                scheme=scheme_text,
-                outcome="eliminated",
-                zones_allowed=zones,
-                stage_closures=tuple(stage),
-                branches=(),
-            )
-        self._prepare_branches()
+    def run(self) -> tuple[tuple[BranchRecord, ...], Optional[OrientationLedger]]:
         records = []
-        for combo in self.branch_combos():
+        for combo in itertools.product(*self.per_nest):
             closures, checked, witness = self.explore_branch(combo)
             record = BranchRecord(
                 nests=tuple(b.label for b in combo),
@@ -728,31 +659,60 @@ class _Search:
                 solutions_checked=checked,
             )
             if witness is not None:
-                return ProofTrace(
-                    candidate=str(self.ct),
-                    scheme=scheme_text,
-                    outcome="survives",
-                    zones_allowed=zones,
-                    stage_closures=(),
-                    branches=(record,),
-                    witness=witness,
-                )
+                return (record,), witness
             records.append(record)
-        return ProofTrace(
-            candidate=str(self.ct),
-            scheme=scheme_text,
-            outcome="eliminated",
-            zones_allowed=zones,
-            stage_closures=(),
-            branches=tuple(records),
+        return tuple(records), None
+
+
+def _settle(
+    scheme: RealScheme, candidates: list[CurveType], ablate: tuple[str, ...]
+) -> tuple[ProofTrace, ...]:
+    """The trace of each candidate of one scheme: the stage screen, then the
+    branch search of each candidate the screen leaves open.
+
+    The candidates share the allowed zones of each nest-scheme triple and
+    the chain branches of each (complex type, jumped) pair.
+    """
+    if sum(scheme.alpha) + scheme.beta != EMPTY_OVALS:
+        raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
+    check_rule_ids(ablate)
+    scheme_text = str(scheme)
+    zones_of: dict[tuple, tuple[int, ...]] = {}
+    branches_of: dict[tuple, tuple[NestBranch, ...]] = {}
+    traces = []
+    for ct in candidates:
+        if sorted(ct.alphas()) != sorted(scheme.alpha):
+            raise EngineError("candidate nests do not match the scheme")
+        schemes = ct.schemes
+        pd = pi_delta(schemes)
+        if "exterior_zone" in ablate:
+            zones = (0, 1, 2, 3)
+        else:
+            if schemes not in zones_of:
+                zones_of[schemes] = allowed_zones(*schemes)
+            zones = zones_of[schemes]
+        stage = _stage_closures(ct, pd, ablate)
+        branches, witness = (), None
+        if not stage:
+            per_nest = []
+            for i, nest in enumerate(ct.nests):
+                key = (nest, ct.jump is not None and i == 2)  # the jumped nest is third
+                if key not in branches_of:
+                    branches_of[key] = nest_branches(*key)
+                per_nest.append(branches_of[key])
+            branches, witness = _Search(ct, scheme, ablate, pd, zones, per_nest).run()
+        outcome = "eliminated" if witness is None else "survives"
+        traces.append(
+            ProofTrace(str(ct), scheme_text, outcome, zones, stage, branches, witness)
         )
+    return tuple(traces)
 
 
 def eliminate(
     candidate: CurveType, scheme: RealScheme, ablate: tuple[str, ...] = ()
 ) -> ProofTrace:
     """Exhaustively explore one candidate; eliminated or survives-with-witness."""
-    return _Search(candidate, scheme, ablate, _SchemeContext(scheme)).run()
+    return _settle(scheme, [candidate], ablate)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -813,23 +773,16 @@ class ExclusionReport:
         }
 
 
-def _scheme_result(
-    scheme: RealScheme, ablate: tuple[str, ...]
-) -> SchemeResult:
-    candidates = no_jump_candidates(scheme) + jump_candidates(scheme)
-    context = _SchemeContext(scheme)
-    return SchemeResult(
-        scheme, tuple(_Search(c, scheme, ablate, context).run() for c in candidates)
-    )
-
-
 def prove_theorem1(
     ablate: tuple[str, ...] = (), schemes: Optional[list[RealScheme]] = None
 ) -> ExclusionReport:
     """Eliminate every candidate for the all-even three-nest schemes."""
     if schemes is None:
         schemes = enumerate_three_nest_schemes(lambda s: s.all_even)
-    return ExclusionReport(tuple(_scheme_result(s, ablate) for s in schemes))
+    return ExclusionReport(tuple(
+        SchemeResult(s, _settle(s, no_jump_candidates(s) + jump_candidates(s), ablate))
+        for s in schemes
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -24,28 +24,17 @@ class OrevkovError(ValueError):
 
 @dataclass(frozen=True)
 class OrevkovTerms:
-    """Scheme-level terms of one depth-2 nest.
-
-    p/q and the capital pair counts use the positive-pair base convention
-    (base oval sign equal to the non-empty oval's sign); pi/pi_prime/big_n/
-    big_m are convention-free.
-    """
+    """Scheme-level terms (pi, pi', N, M) of one depth-2 nest; none of them
+    depends on the base-oval sign convention."""
 
     pi: int
     pi_prime: int
     big_n: int
     big_m: int
-    p: int
-    q: int
-    pi_l: int
-    pi_prime_l: int
-    nu_v: int
 
     def __post_init__(self):
         if self.big_n + self.big_m != 1:
             raise OrevkovError("exactly one of N, M is 1")
-        if self.p + self.q != 2:
-            raise OrevkovError("a depth-2 nest carries exactly two ovals")
         if self.big_n and self.pi_prime != 0:
             raise OrevkovError("a positive non-empty oval forces pi' = 0")
         if self.big_m and self.pi != 0:
@@ -53,30 +42,10 @@ class OrevkovTerms:
 
 
 def nest_terms(scheme: NestScheme) -> OrevkovTerms:
-    """(pi, pi', N, M) and companions for one nest."""
+    """(pi, pi', N, M) for one nest."""
     if scheme.nu == PLUS:
-        return OrevkovTerms(
-            pi=scheme.a_minus - scheme.a_plus,
-            pi_prime=0,
-            big_n=1,
-            big_m=0,
-            p=2,
-            q=0,
-            pi_l=1 - scheme.diff,
-            pi_prime_l=0,
-            nu_v=0,
-        )
-    return OrevkovTerms(
-        pi=0,
-        pi_prime=scheme.a_plus - scheme.a_minus,
-        big_n=0,
-        big_m=1,
-        p=0,
-        q=2,
-        pi_l=0,
-        pi_prime_l=scheme.diff + 1,
-        nu_v=1,
-    )
+        return OrevkovTerms(pi=scheme.a_minus - scheme.a_plus, pi_prime=0, big_n=1, big_m=0)
+    return OrevkovTerms(pi=0, pi_prime=scheme.a_plus - scheme.a_minus, big_n=0, big_m=1)
 
 
 def g_value(scheme: NestScheme) -> int:
@@ -119,15 +88,12 @@ def allowed_zones(s1: NestScheme, s2: NestScheme, s3: NestScheme) -> tuple[int, 
 def first_formula_residual(
     nests: tuple[NestScheme, NestScheme, NestScheme],
     exterior_zone: int,
-    depths: tuple[int, int, int, int] = (2, 2, 2, 1),
 ) -> int:
     """lhs - rhs of the first formula for nest depths (2, 2, 2, 1).
 
     The depth-1 slot is a single empty exterior oval; placing it in
     triangle i makes the residual E_i.
     """
-    if tuple(depths) != (2, 2, 2, 1):
-        raise OrevkovError("depth pattern must be (2, 2, 2, 1)")
     if len(nests) != 3:
         raise OrevkovError("exactly three depth-2 nests are required")
     if exterior_zone not in range(4):

@@ -60,11 +60,8 @@ class RealScheme:
 
     alpha: tuple[int, int, int]
     beta: int
-    degree: int = DEGREE
 
     def __post_init__(self):
-        if self.degree != DEGREE:
-            raise SchemeInvariantError(f"only degree {DEGREE} is supported")
         if len(self.alpha) != 3:
             raise SchemeArityError("exactly three nests are required")
         if any(a < 1 for a in self.alpha):
@@ -207,7 +204,6 @@ def parse_real_scheme(text: str, strict: bool = True) -> RealScheme:
     scheme = object.__new__(RealScheme)
     object.__setattr__(scheme, "alpha", (alphas[0], alphas[1], alphas[2]))
     object.__setattr__(scheme, "beta", beta)
-    object.__setattr__(scheme, "degree", DEGREE)
     return scheme
 
 
@@ -396,13 +392,10 @@ class Jump:
     crossing=None leaves the crossing/non-crossing alternative open.
     """
 
-    nest_index: int = 3
     repartition: tuple[int, int, int] = (1, 1, 1)
     crossing: Optional[bool] = None
 
     def __post_init__(self):
-        if self.nest_index != 3:
-            raise SchemeInvariantError("the jumped nest is labeled 3 by convention")
         if len(self.repartition) != 3 or any(l < 1 for l in self.repartition):
             raise SchemeInvariantError("repartition sizes must be positive")
 
@@ -421,8 +414,8 @@ class CurveType:
     def __post_init__(self):
         if len(self.nests) != 3:
             raise SchemeArityError("a curve type lists exactly three nests")
-        for i, ct in enumerate(self.nests, start=1):
-            jumped = self.jump is not None and self.jump.nest_index == i
+        for i, ct in enumerate(self.nests):
+            jumped = self.jump is not None and i == 2
             if jumped and ct.tag != "n":
                 raise SchemeInvariantError("a jumped nest is non-separating")
             if abs(ct.scheme.diff) == 2:
@@ -435,7 +428,7 @@ class CurveType:
                         "imbalance 2 requires an all-odd repartition"
                     )
         if self.jump is not None:
-            jumped = self.nests[self.jump.nest_index - 1]
+            jumped = self.nests[2]
             l1, _, l3 = self.jump.repartition
             if l1 + l3 != jumped.scheme.alpha:
                 raise SchemeInvariantError(

@@ -566,9 +566,10 @@ CONTEXT_CASES = [
 ]
 
 
-class TestSchemeContext:
-    # prove_theorem1 shares the allowed zones, the chain branches and the
-    # scheme text across a scheme's candidates; eliminate builds them anew.
+class TestSettle:
+    # prove_theorem1 settles a scheme's candidates in one _settle call, which
+    # shares the allowed zones and the chain branches between them;
+    # eliminate settles one candidate alone.
     @pytest.mark.parametrize("scheme, ablate", CONTEXT_CASES)
     def test_scheme_run_equals_standalone_eliminate(self, scheme, ablate):
         real = parse_real_scheme(scheme)

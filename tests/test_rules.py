@@ -200,14 +200,14 @@ class TestEmptyTriangles:
 
     def test_listed_triple_satisfies(self):
         ct = curve((ns(MINUS, 1, 0), "n"), (ns(MINUS, 1, 0), "n"), (ns(MINUS, 2, 0), "n"),
-                   jump=Jump(3, (1, 1, 1)))
+                   jump=Jump((1, 1, 1)))
         v = rule_empty_triangles(Candidate(curve_type=ct, triangles_empty=True))
         assert v.status == SATISFIED
 
     def test_listed_triple_in_any_order(self):
         # same schemes with the two small nests swapped
         ct = curve((ns(PLUS, 0, 1), "n"), (ns(MINUS, 1, 0), "n"), (ns(PLUS, 0, 2), "n"),
-                   jump=Jump(3, (1, 1, 1)))
+                   jump=Jump((1, 1, 1)))
         v = rule_empty_triangles(Candidate(curve_type=ct, triangles_empty=True))
         assert v.status == SATISFIED
 
@@ -224,7 +224,7 @@ class TestJump:
             (ns(MINUS, 1, 0), "s"),
             (ns(MINUS, 2, 2), "n"),
             (ns(PLUS, 0, 2), "n"),
-            jump=Jump(3, (1, 1, 1), crossing=True),
+            jump=Jump((1, 1, 1), crossing=True),
         )
 
     def test_case2_candidate_open(self):
@@ -237,7 +237,7 @@ class TestJump:
             (ns(MINUS, 1, 1), "n"),
             (ns(MINUS, 1, 1), "n"),
             (ns(PLUS, 0, 2), "n"),
-            jump=Jump(3, (1, 1, 1)),
+            jump=Jump((1, 1, 1)),
         )
         v = rule_jump(Candidate(curve_type=ct))
         assert v.status == VIOLATED

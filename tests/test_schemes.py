@@ -226,7 +226,7 @@ class TestComplexTypes:
                 ComplexType(NestScheme(MINUS, 1, 1), "n"),
                 ComplexType(NestScheme(PLUS, 0, 2), "n"),
             ),
-            Jump(3, (1, 1, 1)),
+            Jump((1, 1, 1)),
         )
         assert good.jump.all_odd
         with pytest.raises(SchemeInvariantError):
@@ -236,7 +236,7 @@ class TestComplexTypes:
                     ComplexType(NestScheme(MINUS, 1, 1), "n"),
                     ComplexType(NestScheme(PLUS, 0, 2), "d"),
                 ),
-                Jump(3, (1, 1, 1)),
+                Jump((1, 1, 1)),
             )
 
     def test_imbalance2_needs_jump(self):
@@ -257,7 +257,7 @@ class TestComplexTypes:
                     ComplexType(NestScheme(MINUS, 1, 1), "n"),
                     ComplexType(NestScheme(PLUS, 1, 1), "n"),
                 ),
-                Jump(3, (1, 1, 1)),
+                Jump((1, 1, 1)),
             )
 
 
