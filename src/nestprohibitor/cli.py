@@ -54,6 +54,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.beta is not None and args.beta < 0:
+        print(f"error: --beta must be non-negative, got {args.beta}", file=sys.stderr)
+        return EXIT_USAGE
     predicate = None
     if args.even and args.beta is not None:
         predicate = lambda s: s.all_even and s.beta == args.beta

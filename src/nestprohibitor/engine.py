@@ -11,15 +11,16 @@ satisfies every active rule; otherwise each branch is closed by a named
 rule with numeric evidence, and the whole record replays
 deterministically.
 
-Each candidate pays only for what decides it, and no shortcut changes a
-trace.  One function settles a list of one scheme's candidates:
-`prove_theorem1` passes all of them, `eliminate` passes one.  It checks the
-scheme and the ablated rule ids once, and the candidates share the allowed
-zones of each nest-scheme triple and the chain branches of each nest type.
-The stage screen (jump trichotomy, then separating formula) runs first,
-and the branch search is built only for a candidate it leaves open; a
-branch that the empty-triangle list closes outright is closed before
-anything else of it is computed.  Within a candidate, every
+Each value is computed once at the level where it varies, and no shortcut
+changes a trace.  The enumerator takes its separating-filter terms once
+per nest complex type.  One function settles a list of one scheme's
+candidates: `prove_theorem1` passes all of them, `eliminate` passes one.
+It checks the scheme and the ablated rule ids once, each nest-scheme
+triple's nest sizes, allowed zones and Pi_delta once per triple, and the
+chain branches once per nest type.  The stage screen (jump trichotomy, then
+separating formula) runs first; only a candidate it leaves open gets a
+branch search, whose inputs, the empty-triangle closure among them, are
+built once per candidate.  Within a candidate, every
 branch that asks for the same (free zones, budget, deficit) key replays
 one net sequence, built once and only as far as some branch reads it.
 Each bound predicate, the lemma10 budget included, runs once per distinct
@@ -142,30 +143,39 @@ def nest_branches(ct: ComplexType, jumped: bool) -> tuple[NestBranch, ...]:
 # Candidate enumeration
 
 
-def _structural_fit(nests: tuple[ComplexType, ComplexType, ComplexType]) -> bool:
-    """Cheap separating-compatibility filter used by the enumerator.
+def _fit_terms(ct: ComplexType) -> tuple[Optional[int], int]:
+    """What `_structural_fit` needs of one nest: the G sum of the other two
+    that its separating tag requires (None for a non-separating nest), and
+    its own G."""
+    required = None
+    if ct.separating:
+        required = 0 if ct.tag in ("u", "d") else f_value(ct)
+    return required, g_value(ct.scheme)
+
+
+def _structural_fit(terms: tuple[tuple[Optional[int], int], ...]) -> bool:
+    """Cheap separating-compatibility filter used by the enumerator, on the
+    `_fit_terms` of the three nests.
 
     The sign-refined residual check stays with the separating rule; here
     the u/d distinction is projected out, so up-variants appear alongside
     the down rows and are left for the rules to kill.
     """
-    for i, ct in enumerate(nests):
-        if not ct.separating:
-            continue
-        j, k = (x for x in range(3) if x != i)
-        g_sum = g_value(nests[j].scheme) + g_value(nests[k].scheme)
-        required = 0 if ct.tag in ("u", "d") else f_value(ct)
-        if g_sum != required:
-            return False
-    return True
+    (r1, g1), (r2, g2), (r3, g3) = terms
+    return r1 in (None, g2 + g3) and r2 in (None, g1 + g3) and r3 in (None, g1 + g2)
+
+
+def _typed_options(alpha: int) -> list[tuple[ComplexType, tuple[Optional[int], int]]]:
+    """The unjumped complex types of a nest, each with its `_fit_terms`."""
+    return [(ct, _fit_terms(ct)) for ct in nest_complex_types(alpha, jump_allowed=False)]
 
 
 def no_jump_candidates(scheme: RealScheme) -> list[CurveType]:
-    options = [nest_complex_types(a, jump_allowed=False) for a in scheme.alpha]
+    options = [_typed_options(a) for a in scheme.alpha]
     out = []
-    for triple in itertools.product(*options):
-        if _structural_fit(triple):
-            out.append(CurveType(triple))
+    for (c1, t1), (c2, t2), (c3, t3) in itertools.product(*options):
+        if _structural_fit((t1, t2, t3)):
+            out.append(CurveType((c1, c2, c3)))
     return sorted(out, key=str)
 
 
@@ -193,16 +203,15 @@ def jump_candidates(scheme: RealScheme) -> list[CurveType]:
         if a_jump < 2 or companions in done:
             continue  # a jump needs two interior groups; or these are listed
         done.add(companions)
-        companion_options = [nest_complex_types(a, jump_allowed=False) for a in companions]
+        companion_options = [_typed_options(a) for a in companions]
         for js in enumerate_nest_schemes(a_jump, jump_allowed=True):
             jumped_ct = ComplexType(js, "n")
+            t3 = _fit_terms(jumped_ct)
             jump = _jump_repartition(a_jump, js.diff)
-            for c1, c2 in itertools.product(*companion_options):
-                triple = (c1, c2, jumped_ct)
-                if not _structural_fit(triple):
-                    continue
-                candidate = CurveType(triple, jump)
-                seen.setdefault(str(candidate), candidate)
+            for (c1, t1), (c2, t2) in itertools.product(*companion_options):
+                if _structural_fit((t1, t2, t3)):
+                    candidate = CurveType((c1, c2, jumped_ct), jump)
+                    seen.setdefault(str(candidate), candidate)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -217,7 +226,15 @@ class Closure:
     count: int = 1
 
     def to_json_dict(self) -> dict:
-        return {"rule": self.rule_id, "evidence": self.evidence, "count": self.count}
+        """A fresh dict.  The branches closed by equal evidence share one
+        evidence dict, so a list in it is copied, with the dict that holds
+        it; a dict of numbers and strings alone is passed as it is, since a
+        copy of every one would add a dict per closure to the output."""
+        evidence = self.evidence
+        for k, v in evidence.items():
+            if type(v) is list:
+                evidence = {**evidence, k: v.copy()}
+        return {"rule": self.rule_id, "evidence": evidence, "count": self.count}
 
 
 @dataclass(frozen=True)
@@ -421,20 +438,27 @@ class _Search:
         )
         self.nest_signs = tuple(s.nu for s in self.schemes)
         self.all_separating = all(ct.separating for ct in self.ct.nests)
+        self.evidence: dict[tuple, dict] = {}  # closure key -> evidence
+        self.closure_of: dict[tuple, Closure] = {}  # (closure key, count) -> closure
         # Candidate-level inputs of the per-net checks; None where the rule
         # is ablated or, for the jump's numeric tier, does not apply.
-        self.empty_triangles = self.open_cases = None
+        self.empty_key = self.open_cases = None
         if "empty_triangles" not in ablate:
-            self.empty_triangles = _empty_triangles_violation(self.schemes)
+            violation = _empty_triangles_violation(self.schemes)
+            self.empty_key = self._closure_key("empty_triangles", violation)
         if curve_type.jump is not None and "jump" not in ablate:
             self.open_cases = jump_cases_open(pd, self.schemes[2].nu, curve_type.jump.crossing)
+        # The closures of every branch with no interior oval in a triangle,
+        # when no exterior oval can reach one either.
+        self.empty_closed = None
+        if self.empty_key and (not zones or self.beta == 0):
+            self.empty_closed = self._closures({self.empty_key: 1})
         # Each bound predicate runs once per distinct argument tuple in this
         # candidate; the memo holds the closure key of its evidence, or None.
         self.jump_seen = {} if self.open_cases is not None else None
         self.lambda0_seen = {} if "lambda0_bound" not in ablate else None
         self.triangle_seen = {} if "triangle_bound" not in ablate else None
         self.budget_seen: dict[tuple, Optional[tuple]] = {}
-        self.evidence: dict[tuple, dict] = {}  # closure key -> evidence
         # The net sequences of this candidate's branches, one per key.
         self.nets: dict[tuple, tuple[list, Iterator]] = {}
 
@@ -450,12 +474,16 @@ class _Search:
         key = self._closure_key(rule_id, violation)
         tally[key] = tally.get(key, 0) + 1
 
-    def _closures(self, tally: dict) -> list[Closure]:
-        return [Closure(key[0], self.evidence[key], n) for key, n in tally.items()]
+    def _closures(self, tally: dict) -> tuple[Closure, ...]:
+        """The closures of a tally, one shared object per (key, count)."""
+        for key, n in tally.items():
+            if (key, n) not in self.closure_of:
+                self.closure_of[key, n] = Closure(key[0], self.evidence[key], n)
+        return tuple(map(self.closure_of.__getitem__, tally.items()))
 
     def explore_branch(
         self, branches: tuple[NestBranch, ...]
-    ) -> tuple[list[Closure], int, Optional[OrientationLedger]]:
+    ) -> tuple[tuple[Closure, ...], int, Optional[OrientationLedger]]:
         """Close a branch or find a witness.  Returns (closures, checked, witness).
 
         One loop over the branch's exterior nets, in `_free_assignments`
@@ -469,33 +497,30 @@ class _Search:
         """
         b1, b2, b3 = branches
         pop_t0 = b1.pop_t0 + b2.pop_t0 + b3.pop_t0
-        pops_t = (b1.pop_t, b2.pop_t, b3.pop_t)
-        no_pop = pop_t0 == 0 and not any(pops_t)
+        no_pop = not (pop_t0 or b1.pop_t or b2.pop_t or b3.pop_t)
 
         # Triangles forced empty: the list rule applies before any solving.
-        if no_pop and (not self.zones or self.beta == 0) and self.empty_triangles:
-            return [Closure("empty_triangles", self.empty_triangles)], 0, None
+        if no_pop and self.empty_closed:
+            return self.empty_closed, 0, None
 
         sh0 = b1.lam0 + b2.lam0 + b3.lam0
         t4, t5, t6 = b1.lam_t, b2.lam_t, b3.lam_t
-        eps = self.nest_signs + (b1.eps, b2.eps, b3.eps)
-        eps_sum = sum(eps)
+        n1, n2, n3 = self.nest_signs
+        e1, e2, e3 = b1.eps, b2.eps, b3.eps
+        eps = (n1, n2, n3, e1, e2, e3)
+        eps_sum = n1 + n2 + n3 + e1 + e2 + e3
         # right-hand sides of the three quadrangle identities
-        rhs1 = -(eps[2] + eps[5] + eps[1] + eps[4]) // 2
-        rhs2 = -(eps[2] + eps[5] + eps[0] + eps[3]) // 2
-        rhs3 = -(eps[1] + eps[4] + eps[0] + eps[3]) // 2
-        quad_net = [0, 0, 0, 0]  # zone-indexed, entries 1..3 used
-        for (zj, zk), b in zip(_QUAD_ZONES, branches):
-            quad_net[zj] += b.w[0]
-            quad_net[zk] += b.w[1]
-        q1, q2, q3 = (quad_net[q] == 0 for q in (1, 2, 3))
+        rhs1 = -(n3 + e3 + n2 + e2) // 2
+        rhs2 = -(n3 + e3 + n1 + e1) // 2
+        rhs3 = -(n2 + e2 + n1 + e1) // 2
+        # zone-indexed, entries 1..3 used; see _QUAD_ZONES
+        quad_net = (0, b2.w[0] + b3.w[0], b1.w[0] + b3.w[1], b1.w[1] + b2.w[1])
+        q1, q2, q3 = quad_net[1] == 0, quad_net[2] == 0, quad_net[3] == 0
 
         deficit_rhs = None
         if self.identities:
             deficit_rhs = self.pd - 4 - (sh0 - t4 - t5 - t6)
-        empty_key = None
-        if no_pop:
-            empty_key = self._closure_key("empty_triangles", self.empty_triangles)
+        empty_key = self.empty_key if no_pop else None
         spread = self.spread
         jump_seen = self.jump_seen
         lambda0_seen = self.lambda0_seen
@@ -560,7 +585,7 @@ class _Search:
 
             witness = self._feasible_ledger(
                 branches, eps, (x0, x1, x2, x3), lam0, (lam4, lam5, lam6),
-                (p1, p2, p3), quad_net, pop_t0, pops_t, tally,
+                (p1, p2, p3), quad_net, pop_t0, (b1.pop_t, b2.pop_t, b3.pop_t), tally,
             )
             if witness is not None:
                 return self._closures(tally), checked, witness
@@ -653,11 +678,8 @@ class _Search:
         records = []
         for combo in itertools.product(*self.per_nest):
             closures, checked, witness = self.explore_branch(combo)
-            record = BranchRecord(
-                nests=tuple(b.label for b in combo),
-                closures=tuple(closures),
-                solutions_checked=checked,
-            )
+            b1, b2, b3 = combo
+            record = BranchRecord((b1.label, b2.label, b3.label), closures, checked)
             if witness is not None:
                 return (record,), witness
             records.append(record)
@@ -670,27 +692,27 @@ def _settle(
     """The trace of each candidate of one scheme: the stage screen, then the
     branch search of each candidate the screen leaves open.
 
-    The candidates share the allowed zones of each nest-scheme triple and
-    the chain branches of each (complex type, jumped) pair.
+    The candidates share one entry per nest-scheme triple (its nest sizes
+    checked against the scheme, its allowed zones and Pi_delta) and the
+    chain branches of each (complex type, jumped) pair.
     """
     if sum(scheme.alpha) + scheme.beta != EMPTY_OVALS:
         raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
     check_rule_ids(ablate)
     scheme_text = str(scheme)
-    zones_of: dict[tuple, tuple[int, ...]] = {}
+    alphas = sorted(scheme.alpha)
+    triples: dict[tuple, tuple[int, tuple[int, ...]]] = {}
     branches_of: dict[tuple, tuple[NestBranch, ...]] = {}
     traces = []
     for ct in candidates:
-        if sorted(ct.alphas()) != sorted(scheme.alpha):
-            raise EngineError("candidate nests do not match the scheme")
         schemes = ct.schemes
-        pd = pi_delta(schemes)
-        if "exterior_zone" in ablate:
-            zones = (0, 1, 2, 3)
-        else:
-            if schemes not in zones_of:
-                zones_of[schemes] = allowed_zones(*schemes)
-            zones = zones_of[schemes]
+        entry = triples.get(schemes)
+        if entry is None:
+            if sorted(s.alpha for s in schemes) != alphas:
+                raise EngineError("candidate nests do not match the scheme")
+            zones = (0, 1, 2, 3) if "exterior_zone" in ablate else allowed_zones(*schemes)
+            entry = triples[schemes] = pi_delta(schemes), zones
+        pd, zones = entry
         stage = _stage_closures(ct, pd, ablate)
         branches, witness = (), None
         if not stage:

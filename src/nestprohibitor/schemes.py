@@ -353,6 +353,12 @@ class ComplexType:
         raise SchemeInvariantError(f"tag {self.tag!r} carries no extreme sign")
 
     def __str__(self) -> str:
+        return self._text
+
+    @cached_property
+    def _text(self) -> str:
+        """The text of `__str__`, built once: a nest type recurs in the text
+        of many candidates."""
         nu = _sign_str(self.scheme.nu)
         if self.scheme.diff == 0:
             return f"({nu}, {self.tag})"

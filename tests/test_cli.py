@@ -108,6 +108,12 @@ class TestEnumerate:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 12
 
+    def test_negative_beta_exit_2(self, capsys):
+        assert main(["enumerate", "--beta", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --beta")
+
     def test_json_format(self, capsys):
         assert main(["enumerate", "--even", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)

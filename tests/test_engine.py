@@ -15,9 +15,9 @@ from nestprohibitor.engine import (
     prove_proposition2,
     prove_theorem1,
     _free_assignments,
-    _structural_fit,
 )
 from nestprohibitor.ledger import lambda_deficit
+from nestprohibitor.orevkov import f_value, g_value
 from nestprohibitor.rules import (
     RULES,
     SATISFIED,
@@ -91,6 +91,26 @@ def first_witness(scheme, pd, nu3=None):
     return None, None
 
 
+def reference_fit(nests):
+    """Reference of the enumerator's separating filter: each separating
+    nest requires the G sum of the other two, 0 for a u/d tag, else F."""
+    for i, ct in enumerate(nests):
+        if not ct.separating:
+            continue
+        j, k = (x for x in range(3) if x != i)
+        required = 0 if ct.tag in ("u", "d") else f_value(ct)
+        if g_value(nests[j].scheme) + g_value(nests[k].scheme) != required:
+            return False
+    return True
+
+
+def reference_no_jump_candidates(scheme):
+    """Every triple of unjumped complex types that fits, sorted by text."""
+    options = [nest_complex_types(a) for a in scheme.alpha]
+    fitting = [CurveType(t) for t in itertools.product(*options) if reference_fit(t)]
+    return sorted(fitting, key=str)
+
+
 def reference_jump_candidates(scheme):
     """Every jumped nest tried in turn, the candidates deduplicated by text."""
     seen = {}
@@ -104,7 +124,7 @@ def reference_jump_candidates(scheme):
             jumped_ct = ComplexType(js, "n")
             jump = _jump_repartition(a_jump, js.diff)
             for c1, c2 in itertools.product(*options):
-                if _structural_fit((c1, c2, jumped_ct)):
+                if reference_fit((c1, c2, jumped_ct)):
                     candidate = CurveType((c1, c2, jumped_ct), jump)
                     seen.setdefault(str(candidate), candidate)
     return [seen[k] for k in sorted(seen)]
@@ -136,10 +156,8 @@ class TestCandidateEnumeration:
 
     def test_filtered_out_triples_violate_separating(self):
         options = nest_complex_types(2, jump_allowed=False)
-        import itertools
-
         for triple in itertools.product(options, repeat=3):
-            if _structural_fit(triple):
+            if reference_fit(triple):
                 continue
             # the full rule must reject what the structural filter skipped
             verdict = rule_separating(Candidate(curve_type=CurveType(triple)))
@@ -173,6 +191,13 @@ class TestCandidateEnumeration:
         ] + [RealScheme((2, 1, 2), 20)]
         for scheme in schemes:
             assert jump_candidates(scheme) == reference_jump_candidates(scheme), scheme
+
+    def test_candidates_equal_the_reference(self):
+        schemes = enumerate_three_nest_schemes(lambda s: s.all_even)
+        schemes += enumerate_three_nest_schemes()[::9]
+        for scheme in schemes:
+            expected = reference_no_jump_candidates(scheme) + reference_jump_candidates(scheme)
+            assert candidates(scheme) == expected, scheme
 
     def test_per_nest_options_for_alpha_one(self):
         assert len(nest_complex_types(1)) == 8
@@ -383,6 +408,18 @@ class TestTraceProperties:
         b = eliminate(candidate, SCHEME_2_2_20).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
+    def test_json_dicts_are_fresh(self):
+        # every branch of row 1 is closed by one shared closure object
+        trace = eliminate(figure20_candidate(FIG20_ROWS[0], SCHEME_2_2_20), SCHEME_2_2_20)
+        sibling = trace.branches[1]
+        assert trace.branches[0].closures[0] is sibling.closures[0]
+        expected = json.dumps(trace.to_json_dict())
+        closure = trace.to_json_dict()["branches"][0]["closures"][0]
+        closure["count"] += 1
+        closure["evidence"]["schemes"].append("(+, n)")
+        assert json.dumps(trace.to_json_dict()) == expected
+        assert sibling.to_json_dict() == json.loads(expected)["branches"][1]
+
     def test_soundness_replay(self):
         for row in FIG20_ROWS:
             trace = eliminate(figure20_candidate(row, SCHEME_2_2_20), SCHEME_2_2_20)
@@ -456,8 +493,9 @@ THEOREM1_TRACE_SHA256 = "9521f039953ad3eb69d61f0e24b9c88a1414f51b21ffcc5f0ea74a4
 # lowbeta benchmark, the second is its beta = 22 scheme, where witnesses
 # stop early; in the third, with the deficit identity ablated, closures whose
 # predicate inputs differ (the deficit) carry the same evidence and merge.
-# The last two ablate a rule of the stage screen, so candidates it would
-# close reach the branch search instead.
+# The next two ablate a rule of the stage screen, so candidates it would
+# close reach the branch search instead.  The last ablates the exterior-zone
+# rule, so every candidate's nets range over all four triangles.
 SCHEME_TRACES = [
     pytest.param(
         "<J + 1<5> + 1<5> + 1<9> + 6>", (), 386, 110608,
@@ -483,6 +521,11 @@ SCHEME_TRACES = [
         "<J + 1<2> + 1<2> + 1<20> + 1>", ("separating",), 184, 608,
         "f78dabe82bc9a00d04bd5798edd84dd4e3ddc835a5da57009b057c489e40a187",
         id="separating-ablated",
+    ),
+    pytest.param(
+        "<J + 1<2> + 1<2> + 1<20> + 1>", ("exterior_zone",), 184, 4634,
+        "a81a2d57e60dee73645717d7e8c5cc7a8a1437fdbb970a8b43d51c7aa5ac973c",
+        id="exterior-zone-ablated",
     ),
 ]
 
