@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -23,15 +24,26 @@ EXIT_OPEN = 1
 EXIT_USAGE = 2
 
 
+def _print(*values, **kwargs) -> None:
+    """print() to stdout.  When the reader closes the pipe early, as
+    `| head` does, stdout is pointed at os.devnull, as the Python docs
+    recommend: the command runs to its end, unseen, and exits with its own
+    code, since exit 1 would mean open branches."""
+    try:
+        print(*values, **kwargs)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _cmd_check(args) -> int:
     try:
         scheme = parse_real_scheme(args.scheme, strict=not args.relaxed)
     except SchemeError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"valid: {scheme}")
-    print(f"nests: 3, alpha = {scheme.alpha}, beta = {scheme.beta}")
-    print(f"all-even: {'yes' if scheme.all_even else 'no'}")
+    _print(f"valid: {scheme}")
+    _print(f"nests: 3, alpha = {scheme.alpha}, beta = {scheme.beta}")
+    _print(f"all-even: {'yes' if scheme.all_even else 'no'}")
     if args.ledger:
         try:
             with open(args.ledger, "r", encoding="utf-8") as fh:
@@ -49,7 +61,7 @@ def _cmd_check(args) -> int:
             line = f"{rule_id}: {verdict.status}"
             if verdict.evidence:
                 line += f" {json.dumps(verdict.evidence, sort_keys=True)}"
-            print(line)
+            _print(line)
     return EXIT_OK
 
 
@@ -70,17 +82,17 @@ def _cmd_enumerate(args) -> int:
             {"scheme": str(s), "alpha": list(s.alpha), "beta": s.beta}
             for s in schemes
         ]
-        print(json.dumps({"count": len(schemes), "schemes": payload}, indent=2))
+        _print(json.dumps({"count": len(schemes), "schemes": payload}, indent=2))
     else:
         for s in schemes:
-            print(s)
+            _print(s)
     return EXIT_OK
 
 
 def _cmd_tables(args) -> int:
     fig = build_figure(args.figure)
     out = render_tsv(fig) if args.format == "tsv" else render_text(fig)
-    sys.stdout.write(out)
+    _print(out, end="")
     return EXIT_OK
 
 
@@ -94,22 +106,22 @@ def _cmd_prove(args) -> int:
     if args.target == "theorem1":
         report = prove_theorem1(ablate=ablate)
         closed = report.all_excluded
-        print(
+        _print(
             f"theorem1: {report.excluded_count} schemes excluded "
             f"({report.known_count} previously known, {report.new_count} new)"
         )
         for result in report.results:
             if not result.excluded:
                 names = ", ".join(t.candidate for t in result.surviving)
-                print(f"open: {result.scheme} survives via {names}")
+                _print(f"open: {result.scheme} survives via {names}")
     else:
         report = prove_proposition2(ablate=ablate)
         closed = report.all_closed
-        print(f"proposition2: {len(report.rows)} rows, all closed: {closed}")
+        _print(f"proposition2: {len(report.rows)} rows, all closed: {closed}")
         for row in report.rows:
             rules = ", ".join(sorted({c.rule_id for c in row.closures}))
             extra = f" [{row.note}]" if row.note else ""
-            print(
+            _print(
                 f"  {[str(s) for s in row.schemes]} E0={row.e0} "
                 f"closed={row.closed} via {rules}{extra}"
             )
@@ -120,16 +132,16 @@ def _cmd_prove(args) -> int:
         except OSError as err:
             print(f"error: cannot write {args.json}: {err}", file=sys.stderr)
             return EXIT_USAGE
-        print(f"report written to {args.json}")
+        _print(f"report written to {args.json}")
     return EXIT_OK if closed else EXIT_OPEN
 
 
 def _cmd_rules(args) -> int:
     for rule in RULES.values():
-        print(f"{rule.rule_id}")
-        print(f"  citation:   {rule.citation}")
-        print(f"  hypothesis: {rule.hypothesis}")
-        print(f"  statement:  {rule.statement}")
+        _print(f"{rule.rule_id}")
+        _print(f"  citation:   {rule.citation}")
+        _print(f"  hypothesis: {rule.hypothesis}")
+        _print(f"  statement:  {rule.statement}")
     return EXIT_OK
 
 
@@ -179,7 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    code = args.func(args)
+    _print(end="", flush=True)  # a pipe closed after the last write shows here
+    return code
 
 
 if __name__ == "__main__":

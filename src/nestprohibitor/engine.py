@@ -23,10 +23,15 @@ branch search, whose inputs, the empty-triangle closure among them, are
 built once per candidate.  Within a candidate, every
 branch that asks for the same (free zones, budget, deficit) key replays
 one net sequence, built once and only as far as some branch reads it.
-Each bound predicate, the lemma10 budget included, runs once per distinct
-input, and its closure key is stored with the result.  Closures merge by
-evidence, not by predicate inputs, and are listed in the order of their
-first net.
+The lambda_0 and corner bounds are decided from per-candidate tables,
+value -> closure key.  This is exact because `_lambda0_violation` reads
+only lambda_0 unless |lambda_0| = 3, and `_triangle_violation` reads only
+the corner value unless it is 3; only such a net builds the predicate's
+argument tuple.  That tuple, like the jump tier's and the oval budget's,
+goes through a memo, so each predicate runs once per distinct input.  The
+budget test runs inline, and a ledger is built only for a net within
+budget (or any net with lemma10 ablated).  Closures merge by evidence, not
+by predicate inputs, and are listed in the order of their first net.
 
 Interior-chain model (the engine's central commitment, validated against
 the reproduced intermediate values): a separating even nest either
@@ -40,9 +45,10 @@ jumped chain may place single ovals in the triangles.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .ledger import OrientationLedger
@@ -224,6 +230,12 @@ class Closure:
     rule_id: str
     evidence: dict
     count: int = 1
+    # the evidence keys that hold a list, found once, when the closure is built
+    lists: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lists = tuple(k for k, v in self.evidence.items() if type(v) is list)
+        object.__setattr__(self, "lists", lists)
 
     def to_json_dict(self) -> dict:
         """A fresh dict.  The branches closed by equal evidence share one
@@ -231,9 +243,10 @@ class Closure:
         it; a dict of numbers and strings alone is passed as it is, since a
         copy of every one would add a dict per closure to the output."""
         evidence = self.evidence
-        for k, v in evidence.items():
-            if type(v) is list:
-                evidence = {**evidence, k: v.copy()}
+        if self.lists:
+            evidence = evidence.copy()
+            for k in self.lists:
+                evidence[k] = evidence[k].copy()
         return {"rule": self.rule_id, "evidence": evidence, "count": self.count}
 
 
@@ -389,7 +402,28 @@ def _free_assignments(
 # The quadrangle zones adjacent to nest 0, 1 and 2.
 _QUAD_ZONES = ((2, 3), (1, 3), (1, 2))
 
-_UNSEEN = object()
+_REFINED = object()  # a bound's value whose verdict reads more of the net
+
+
+def _closure_key(evidence: dict, rule_id: str, violation: Optional[dict]) -> Optional[tuple]:
+    """None for no violation, else the key that merges equal evidence; the
+    evidence is kept in `evidence` under its key."""
+    if violation is None:
+        return None
+    key = (rule_id, repr(sorted(violation.items())))
+    evidence.setdefault(key, violation)
+    return key
+
+
+class _Memo(dict):
+    """input -> closure key (or None), each computed by `fill` on first use."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, args):
+        key = self[args] = self.fill(args)
+        return key
 
 
 def _stage_closures(
@@ -437,41 +471,47 @@ class _Search:
             *(self.zones.index(z) if z in self.zones else len(self.zones) for z in range(4))
         )
         self.nest_signs = tuple(s.nu for s in self.schemes)
-        self.all_separating = all(ct.separating for ct in self.ct.nests)
         self.evidence: dict[tuple, dict] = {}  # closure key -> evidence
         self.closure_of: dict[tuple, Closure] = {}  # (closure key, count) -> closure
-        # Candidate-level inputs of the per-net checks; None where the rule
-        # is ablated or, for the jump's numeric tier, does not apply.
-        self.empty_key = self.open_cases = None
-        if "empty_triangles" not in ablate:
-            violation = _empty_triangles_violation(self.schemes)
-            self.empty_key = self._closure_key("empty_triangles", violation)
-        if curve_type.jump is not None and "jump" not in ablate:
-            self.open_cases = jump_cases_open(pd, self.schemes[2].nu, curve_type.jump.crossing)
         # The closures of every branch with no interior oval in a triangle,
         # when no exterior oval can reach one either.
-        self.empty_closed = None
+        self.empty_key = self.empty_closed = None
+        if "empty_triangles" not in ablate:
+            violation = _empty_triangles_violation(self.schemes)
+            self.empty_key = _closure_key(self.evidence, "empty_triangles", violation)
         if self.empty_key and (not zones or self.beta == 0):
             self.empty_closed = self._closures({self.empty_key: 1})
-        # Each bound predicate runs once per distinct argument tuple in this
-        # candidate; the memo holds the closure key of its evidence, or None.
-        self.jump_seen = {} if self.open_cases is not None else None
-        self.lambda0_seen = {} if "lambda0_bound" not in ablate else None
-        self.triangle_seen = {} if "triangle_bound" not in ablate else None
-        self.budget_seen: dict[tuple, Optional[tuple]] = {}
+        # Each per-net rule maps its input to a closure key, or None, through
+        # a memo, so its predicate runs once per distinct input; None where
+        # the rule is ablated or, for the jump's numeric tier, does not apply.
+        # The lambda_0 and corner bounds are keyed by their value alone, but
+        # for |lambda_0| = 3 and a corner value 3 (_REFINED), which read more
+        # of the net.  The memos hold the evidence dict, not self, so the
+        # search and its nets are freed as soon as its trace is built.
+        key_of = functools.partial(_closure_key, self.evidence)
+        beta, identities = self.beta, self.identities
+        all_sep = all(ct.separating for ct in curve_type.nests)
+        self.jump_of = self.lambda0_of = self.corners_of = None
+        if curve_type.jump is not None and "jump" not in ablate:
+            cases = jump_cases_open(pd, self.schemes[2].nu, curve_type.jump.crossing)
+            self.jump_of = _Memo(lambda a: key_of("jump", _jump_violation(pd, cases, *a)))
+        if "lambda0_bound" not in ablate:
+            self.lambda0_of = _Memo(lambda v: _REFINED if abs(v) == 3 else key_of(
+                "lambda0_bound", _lambda0_violation(v, None, None, None)))
+            # (lambda_0, epsilon sum, Q1..Q3 left empty) at magnitude 3
+            self.lambda0_refined = _Memo(lambda a: key_of("lambda0_bound", _lambda0_violation(
+                a[0], all_sep, a[1],
+                tuple(q for q, empty in zip((1, 2, 3), a[2:]) if empty) if identities else None)))
+        if "triangle_bound" not in ablate:
+            self.corners_of = tuple(_Memo(lambda v, zone=zone: _REFINED if v == 3 else key_of(
+                "triangle_bound", _triangle_violation(v, None, zone))) for zone in (1, 2, 3))
+            self.corner_refined = _Memo(lambda a: key_of("triangle_bound", _triangle_violation(*a)))
+        self.over_budget = _Memo(lambda a: key_of("lemma10", _budget_violation(a[0], beta, a[1:])))
         # The net sequences of this candidate's branches, one per key.
         self.nets: dict[tuple, tuple[list, Iterator]] = {}
 
-    def _closure_key(self, rule_id: str, violation: Optional[dict]) -> Optional[tuple]:
-        """None for no violation, else the key that merges equal evidence."""
-        if violation is None:
-            return None
-        key = (rule_id, repr(sorted(violation.items())))
-        self.evidence.setdefault(key, violation)
-        return key
-
     def _close(self, tally: dict, rule_id: str, violation: dict) -> None:
-        key = self._closure_key(rule_id, violation)
+        key = _closure_key(self.evidence, rule_id, violation)
         tally[key] = tally.get(key, 0) + 1
 
     def _closures(self, tally: dict) -> tuple[Closure, ...]:
@@ -488,12 +528,12 @@ class _Search:
 
         One loop over the branch's exterior nets, in `_free_assignments`
         order.  The first rule that fires closes a net, in the order empty
-        triangles, jump, lambda_0, then the corners T1..T3; a net no bound
-        closes goes on to a ledger build.  Closures merge by evidence, not
-        by the predicate inputs that produced it: with `lemma10` ablated,
-        nets of different deficits with lambda_4 = 5 share one corner
-        evidence, which records no deficit, and count as one closure.
-        Closures are listed in the order of their first net.
+        triangles, jump, lambda_0, the corners T1..T3, then the oval budget
+        of lemma10; a net none closes goes on to a ledger build.  Closures
+        merge by evidence, not by the predicate inputs that produced it:
+        with `lemma10` ablated, nets of different deficits with lambda_4 = 5
+        share one corner evidence, which records no deficit, and count as
+        one closure.  Closures are listed in the order of their first net.
         """
         b1, b2, b3 = branches
         pop_t0 = b1.pop_t0 + b2.pop_t0 + b3.pop_t0
@@ -522,12 +562,14 @@ class _Search:
             deficit_rhs = self.pd - 4 - (sh0 - t4 - t5 - t6)
         empty_key = self.empty_key if no_pop else None
         spread = self.spread
-        jump_seen = self.jump_seen
-        lambda0_seen = self.lambda0_seen
-        triangle_seen = self.triangle_seen
+        beta = self.beta
+        identities = self.identities
+        jump_of = self.jump_of
+        lambda0_of = self.lambda0_of
+        corner1, corner2, corner3 = self.corners_of or (None, None, None)
         tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
         checked = 0
-        for net in _free_assignments(self.zones, self.beta, deficit_rhs, self.nets):
+        for net in _free_assignments(self.zones, beta, deficit_rhs, self.nets):
             checked += 1
             x0, x1, x2, x3 = spread(net + (0,))
             lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
@@ -539,53 +581,51 @@ class _Search:
 
             # Jump trichotomy, numeric tier.
             deficit = lam0 - lam4 - lam5 - lam6
-            if jump_seen is not None:
-                args = (deficit, lam0 - lam4 - lam5, lam6)
-                key = jump_seen.get(args, _UNSEEN)
-                if key is _UNSEEN:
-                    key = jump_seen[args] = self._closure_key(
-                        "jump", _jump_violation(self.pd, self.open_cases, *args)
-                    )
+            if jump_of is not None:
+                key = jump_of[deficit, lam0 - lam4 - lam5, lam6]
                 if key:
                     tally[key] = tally.get(key, 0) + 1
                     continue
 
-            # The quadrangle values the identities pin.
+            # Central-triangle bound; at magnitude 3 its refinements read the
+            # branch and which quadrangles the identities leave empty.
+            if lambda0_of is not None:
+                key = lambda0_of[lam0]
+                if key is _REFINED:
+                    key = self.lambda0_refined[
+                        lam0, eps_sum, q1 and rhs1 - lam0 + lam4 == 0,
+                        q2 and rhs2 - lam0 + lam5 == 0, q3 and rhs3 - lam0 + lam6 == 0
+                    ]
+                if key:
+                    tally[key] = tally.get(key, 0) + 1
+                    continue
+
+            # Corner-triangle bounds, T1..T3; a value 3 also reads the deficit.
+            if corner1 is not None:
+                key = corner1[lam4] or corner2[lam5] or corner3[lam6]
+                if key is _REFINED:
+                    key = self._refined_corner((lam4, lam5, lam6), deficit)
+                if key:
+                    tally[key] = tally.get(key, 0) + 1
+                    continue
+
+            # The quadrangle values the identities pin, and the oval budget
+            # they need.  The cost always has the parity of beta: mod 2 it is
+            # the sum of the branch shares, alpha_i + 1 per nest, and
+            # sum(alpha) + beta = 25 (checked in _settle).  So the budget test
+            # is the bound alone.
             p1, p2, p3 = rhs1 - lam0 + lam4, rhs2 - lam0 + lam5, rhs3 - lam0 + lam6
-
-            # Central-triangle bound with its magnitude-3 refinements.
-            if lambda0_seen is not None:
-                args = (lam0, eps_sum, q1 and p1 == 0, q2 and p2 == 0, q3 and p3 == 0)
-                key = lambda0_seen.get(args, _UNSEEN)
-                if key is _UNSEEN:
-                    emptiable = None
-                    if self.identities:
-                        emptiable = tuple(q for q, empty in zip((1, 2, 3), args[2:]) if empty)
-                    key = lambda0_seen[args] = self._closure_key(
-                        "lambda0_bound",
-                        _lambda0_violation(lam0, self.all_separating, eps_sum, emptiable),
-                    )
-                if key:
-                    tally[key] = tally.get(key, 0) + 1
-                    continue
-
-            # Corner-triangle bounds.
-            if triangle_seen is not None:
-                for args in ((lam4, deficit, 1), (lam5, deficit, 2), (lam6, deficit, 3)):
-                    key = triangle_seen.get(args, _UNSEEN)
-                    if key is _UNSEEN:
-                        key = triangle_seen[args] = self._closure_key(
-                            "triangle_bound", _triangle_violation(*args)
-                        )
-                    if key:
-                        break
-                if key:
-                    tally[key] = tally.get(key, 0) + 1
-                    continue
+            required = (abs(x0) + abs(x1) + abs(x2) + abs(x3) + abs(p1 - quad_net[1])
+                        + abs(p2 - quad_net[2]) + abs(p3 - quad_net[3]))
+            if required > beta and identities:
+                key = self.over_budget[required, lam0, p1, p2, p3, lam4, lam5, lam6]
+                tally[key] = tally.get(key, 0) + 1
+                continue
 
             witness = self._feasible_ledger(
                 branches, eps, (x0, x1, x2, x3), lam0, (lam4, lam5, lam6),
-                (p1, p2, p3), quad_net, pop_t0, (b1.pop_t, b2.pop_t, b3.pop_t), tally,
+                (p1, p2, p3) if required <= beta else None, quad_net, pop_t0,
+                (b1.pop_t, b2.pop_t, b3.pop_t), tally,
             )
             if witness is not None:
                 return self._closures(tally), checked, witness
@@ -597,28 +637,29 @@ class _Search:
             )
         return self._closures(tally), checked, None
 
+    def _refined_corner(self, values: tuple[int, int, int], deficit: int) -> Optional[tuple]:
+        """The first corner closure of a net with a corner value 3."""
+        for zone, value in enumerate(values, 1):
+            key = self.corners_of[zone - 1][value]
+            if key is _REFINED:
+                key = self.corner_refined[value, deficit, zone]
+            if key:
+                return key
+        return None
+
     def _feasible_ledger(
         self, branches, eps, xs, lam0, lam456, pinned, quad_net, pop_t0, pops_t, tally
     ) -> Optional[OrientationLedger]:
+        """The ledger of a net the bounds leave open, or None when a rule
+        closes it.  `pinned` is the identities' quadrangle values, or None
+        when they need more ovals than beta (only with lemma10 ablated)."""
         beta = self.beta
         ext_used = sum(abs(v) for v in xs)
-        y_pinned = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
-        # The cost always has the parity of beta: mod 2 it is the sum of the
-        # branch shares, alpha_i + 1 per nest, and sum(alpha) + beta = 25
-        # (checked in _settle).  So the budget test is the bound alone.
-        args = (ext_used + sum(abs(v) for v in y_pinned), (lam0, *pinned, *lam456))
-        over_budget = self.budget_seen.get(args, _UNSEEN)
-        if over_budget is _UNSEEN:
-            over_budget = self.budget_seen[args] = self._closure_key(
-                "lemma10", _budget_violation(args[0], beta, args[1])
-            )
-        if not over_budget:
+        if pinned is not None:
             # the identities' solution, the preferred witness shape even
             # when they are ablated (keeps ablation monotone)
-            lam123, y = pinned, y_pinned
-        elif self.identities:
-            tally[over_budget] = tally.get(over_budget, 0) + 1
-            return None
+            lam123 = pinned
+            y = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
         else:
             # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1;
             # with no deficit identity every net keeps within beta

@@ -17,6 +17,12 @@ from .schemes import DEGREE, OVALS
 
 ZONES = ("T0", "Q1", "Q2", "Q3", "T1", "T2", "T3")
 
+# The fields of a ledger's JSON object, each with the type of its value.
+_FIELDS = {
+    "lambda": list, "epsilon": list, "LambdaPlus": int, "LambdaMinus": int,
+    "PiPlus": int, "PiMinus": int, "zonePop": list,
+}
+
 
 class LedgerError(ValueError):
     """Raised when a ledger violates its structural invariants."""
@@ -85,6 +91,21 @@ class OrientationLedger:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrientationLedger":
+        """The ledger of a `to_json_dict` object.  A missing field raises
+        KeyError; an unknown field, or a value that is not an int, raises
+        LedgerError.  A bool is not an int here, nor is a float such as
+        1.0, which a draft-7 validator of ledger.schema.json would take for
+        an integer: the engine writes ints, and replay rejects -8.0 alike."""
+        if type(data) is not dict:
+            raise LedgerError("a ledger is a JSON object")
+        for name, value in data.items():
+            if name not in _FIELDS:
+                raise LedgerError(f"unknown field {name!r}")
+            if _FIELDS[name] is list:
+                if type(value) is not list or any(type(v) is not int for v in value):
+                    raise LedgerError(f"field {name!r} must be a list of integers")
+            elif type(value) is not int:
+                raise LedgerError(f"field {name!r} must be an integer")
         return cls(
             lam=tuple(data["lambda"]),
             eps=tuple(data["epsilon"]),

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, JSON schemas."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -11,7 +14,8 @@ from nestprohibitor.engine import eliminate
 from nestprohibitor.schemes import RealScheme
 from test_engine import FIG20_ROWS, SCHEME_2_2_20, candidates, figure20_candidate
 
-SCHEMAS = Path(__file__).resolve().parents[1] / "src" / "nestprohibitor" / "schemas"
+SRC = Path(__file__).resolve().parents[1] / "src"
+SCHEMAS = SRC / "nestprohibitor" / "schemas"
 
 
 def load_schema(name):
@@ -26,6 +30,18 @@ def make_validator(name):
         for other in ("ledger.schema.json", "trace.schema.json", "report.schema.json")
     )
     return jsonschema.Draft7Validator(load_schema(name), registry=registry)
+
+
+# A valid ledger that satisfies every rule.
+LEDGER = {
+    "lambda": [0, 0, 0, 0, 0, 0, 0],
+    "epsilon": [1, 1, 1, -1, -1, -1],
+    "LambdaPlus": 14,
+    "LambdaMinus": 14,
+    "PiPlus": 8,
+    "PiMinus": 4,
+    "zonePop": [0, 0, 0, 0, 0, 0, 0],
+}
 
 
 class TestCheck:
@@ -44,17 +60,8 @@ class TestCheck:
         assert "25" in capsys.readouterr().err
 
     def test_ledger_verdicts(self, tmp_path, capsys):
-        ledger = {
-            "lambda": [0, 0, 0, 0, 0, 0, 0],
-            "epsilon": [1, 1, 1, -1, -1, -1],
-            "LambdaPlus": 14,
-            "LambdaMinus": 14,
-            "PiPlus": 8,
-            "PiMinus": 4,
-            "zonePop": [0, 0, 0, 0, 0, 0, 0],
-        }
         path = tmp_path / "ledger.json"
-        path.write_text(json.dumps(ledger))
+        path.write_text(json.dumps(LEDGER))
         assert main(
             ["check", "<J + 1<2> + 1<2> + 1<20> + 1>", "--ledger", str(path)]
         ) == 0
@@ -81,8 +88,20 @@ class TestCheck:
                 ),
                 "exceeds population",
             ),
+            (
+                json.dumps({**LEDGER, "lambda": [1.0, 0, 0, 0, 0, 0, 0]}),
+                "field 'lambda' must be a list of integers",
+            ),
+            (
+                json.dumps({**LEDGER, "epsilon": [True, 1, 1, -1, -1, -1]}),
+                "field 'epsilon' must be a list of integers",
+            ),
+            (json.dumps({**LEDGER, "extra": 0}), "unknown field 'extra'"),
         ],
-        ids=["missing-field", "malformed-json", "invalid-ledger"],
+        ids=[
+            "missing-field", "malformed-json", "invalid-ledger", "float-lambda",
+            "bool-epsilon", "extra-key",
+        ],
     )
     def test_bad_ledger_exit_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "ledger.json"
@@ -166,6 +185,38 @@ class TestProve:
         assert main(["prove", "proposition2", "--json", str(path)]) == 2
         assert "cannot write" in capsys.readouterr().err
         assert not path.exists()
+
+
+class TestClosedPipe:
+    # The reader of stdout is gone before the first write, as after `| head`
+    # has read its lines: the command still exits with its own code, and
+    # without a traceback.
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (["enumerate"], 0),
+            (["prove", "proposition2"], 0),
+            (["prove", "proposition2", "--ablate", "exterior_zone"], 1),
+        ],
+        ids=["listing", "prove-closed", "prove-open"],
+    )
+    def test_exit_code_survives(self, tmp_path, args, code):
+        report = tmp_path / "report.json"
+        if args[0] == "prove":
+            args = args + ["--json", str(report)]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "nestprohibitor.cli", *args],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == code
+        assert done.stderr == b""
+        assert report.exists() == (args[0] == "prove")
 
 
 class TestRulesListing:

@@ -1,11 +1,14 @@
 """Elimination engine: candidate spaces, traces, theorem drivers."""
 
+import gc
 import hashlib
 import itertools
 import json
+import weakref
 
 import pytest
 
+from nestprohibitor import engine
 from nestprohibitor.engine import (
     EngineError,
     _jump_repartition,
@@ -527,6 +530,16 @@ SCHEME_TRACES = [
         "a81a2d57e60dee73645717d7e8c5cc7a8a1437fdbb970a8b43d51c7aa5ac973c",
         id="exterior-zone-ablated",
     ),
+    pytest.param(
+        "<J + 1<5> + 1<5> + 1<9> + 6>", ("lambda0_bound",), 386, 110608,
+        "b6a536e476c70a66fe5ef474d54e662cfd2a3d536683d5ec28d377834cf05146",
+        id="lambda0-ablated",
+    ),
+    pytest.param(
+        "<J + 1<5> + 1<5> + 1<9> + 6>", ("triangle_bound",), 386, 109852,
+        "416f655a62d3bb87ab9653a09b9522d967e3dbf790b96ee632eff6db6a9304e0",
+        id="triangle-ablated",
+    ),
 ]
 
 
@@ -596,15 +609,18 @@ class TestTheorem1:
                     )
 
 
-# The pinned schemes, each unablated and with one of five rules ablated; the
+# The pinned schemes, each unablated and with one of seven rules ablated; the
 # most-nets scheme is left out with lemma10 or jump ablated, where one run of
-# it takes 24 s or 6 s.
+# it takes 24 s or 6 s.  The two bound ablations come last, so that the ids
+# of the earlier cases stay as they were.
 CONTEXT_CASES = [
     (scheme, ablate)
-    for scheme in dict.fromkeys(p.values[0] for p in SCHEME_TRACES)
-    for ablate in [
-        (), ("exterior_zone",), ("empty_triangles",), ("lemma10",), ("jump",), ("separating",)
+    for ablations in [
+        [(), ("exterior_zone",), ("empty_triangles",), ("lemma10",), ("jump",), ("separating",)],
+        [("lambda0_bound",), ("triangle_bound",)],
     ]
+    for scheme in dict.fromkeys(p.values[0] for p in SCHEME_TRACES)
+    for ablate in ablations
     if scheme != "<J + 1<5> + 1<5> + 1<9> + 6>" or ablate not in [("lemma10",), ("jump",)]
 ]
 
@@ -620,6 +636,25 @@ class TestSettle:
         shared = [t.to_json_dict() for t in report.results[0].traces]
         standalone = [eliminate(c, real, ablate).to_json_dict() for c in candidates(real)]
         assert json.dumps(shared) == json.dumps(standalone)
+
+    @pytest.mark.parametrize("ablate", [(), ("lemma10",)])
+    def test_search_is_freed_without_the_cycle_collector(self, monkeypatch, ablate):
+        # A candidate's search holds its net sequences; nothing it holds
+        # refers back to it, so it is freed as soon as its trace is built.
+        searches = []
+        run = engine._Search.run
+
+        def tracked(search):
+            searches.append(weakref.ref(search))
+            return run(search)
+
+        monkeypatch.setattr(engine._Search, "run", tracked)
+        gc.disable()
+        try:
+            prove_theorem1(ablate=ablate, schemes=[SCHEME_2_2_20])
+            assert searches and all(ref() is None for ref in searches)
+        finally:
+            gc.enable()
 
 
 class TestProposition2:

@@ -1,5 +1,7 @@
 """Rule catalog: verdicts on the documented cases, evidence discipline."""
 
+import itertools
+
 import pytest
 
 from nestprohibitor.rules import (
@@ -9,6 +11,8 @@ from nestprohibitor.rules import (
     SATISFIED,
     VIOLATED,
     Candidate,
+    _lambda0_violation,
+    _triangle_violation,
     evaluate_all,
     replay_violation,
     rule_empty_triangles,
@@ -148,6 +152,27 @@ class TestTriangleBound:
     def test_hypothesis_off(self):
         ledger = make_ledger(lam=(0, 0, 0, 0, 0, 0, 4))
         assert rule_triangle_bound(with_ledger(ledger), 3).status == INAPPLICABLE
+
+
+class TestBoundsReadOneValue:
+    # The engine decides lambda0_bound and triangle_bound from a table keyed
+    # by the bounded value alone, and takes the other inputs only where
+    # these facts say the value does not settle the verdict.
+
+    def test_lambda0_off_magnitude_3_reads_lambda0_alone(self):
+        others = list(itertools.product(
+            (None, True, False),
+            (None, *range(-8, 9)),
+            (None, (), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)),
+        ))
+        for value in range(-10, 11):
+            verdicts = {repr(_lambda0_violation(value, *rest)) for rest in others}
+            assert (len(verdicts) == 1) == (abs(value) != 3), value
+
+    def test_corner_off_3_reads_the_value_alone(self):
+        for value, zone in itertools.product(range(-10, 11), (1, 2, 3)):
+            verdicts = {repr(_triangle_violation(value, d, zone)) for d in (None, *range(-12, 13))}
+            assert (len(verdicts) == 1) == (value != 3), (value, zone)
 
 
 class TestExteriorZone:
