@@ -416,7 +416,7 @@ def _closure_key(evidence: dict, rule_id: str, violation: Optional[dict]) -> Opt
 
 
 class _Memo(dict):
-    """input -> closure key (or None), each computed by `fill` on first use."""
+    """input -> value, each computed by `fill` on first use."""
 
     def __init__(self, fill):
         self.fill = fill
@@ -471,14 +471,17 @@ class _Search:
             *(self.zones.index(z) if z in self.zones else len(self.zones) for z in range(4))
         )
         self.nest_signs = tuple(s.nu for s in self.schemes)
-        self.evidence: dict[tuple, dict] = {}  # closure key -> evidence
-        self.closure_of: dict[tuple, Closure] = {}  # (closure key, count) -> closure
+        # The memos below hold the evidence dict, not self, so the search and
+        # its nets are freed as soon as its trace is built.
+        evidence = self.evidence = {}  # closure key -> evidence
+        key_of = functools.partial(_closure_key, evidence)
+        # (closure key, count) -> closure
+        self.closure_of = _Memo(lambda kn: Closure(kn[0][0], evidence[kn[0]], kn[1]))
         # The closures of every branch with no interior oval in a triangle,
         # when no exterior oval can reach one either.
         self.empty_key = self.empty_closed = None
         if "empty_triangles" not in ablate:
-            violation = _empty_triangles_violation(self.schemes)
-            self.empty_key = _closure_key(self.evidence, "empty_triangles", violation)
+            self.empty_key = key_of("empty_triangles", _empty_triangles_violation(self.schemes))
         if self.empty_key and (not zones or self.beta == 0):
             self.empty_closed = self._closures({self.empty_key: 1})
         # Each per-net rule maps its input to a closure key, or None, through
@@ -486,9 +489,7 @@ class _Search:
         # the rule is ablated or, for the jump's numeric tier, does not apply.
         # The lambda_0 and corner bounds are keyed by their value alone, but
         # for |lambda_0| = 3 and a corner value 3 (_REFINED), which read more
-        # of the net.  The memos hold the evidence dict, not self, so the
-        # search and its nets are freed as soon as its trace is built.
-        key_of = functools.partial(_closure_key, self.evidence)
+        # of the net.
         beta, identities = self.beta, self.identities
         all_sep = all(ct.separating for ct in curve_type.nests)
         self.jump_of = self.lambda0_of = self.corners_of = None
@@ -516,9 +517,6 @@ class _Search:
 
     def _closures(self, tally: dict) -> tuple[Closure, ...]:
         """The closures of a tally, one shared object per (key, count)."""
-        for key, n in tally.items():
-            if (key, n) not in self.closure_of:
-                self.closure_of[key, n] = Closure(key[0], self.evidence[key], n)
         return tuple(map(self.closure_of.__getitem__, tally.items()))
 
     def explore_branch(
