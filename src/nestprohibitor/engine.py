@@ -13,25 +13,30 @@ deterministically.
 
 Each value is computed once at the level where it varies, and no shortcut
 changes a trace.  The enumerator takes its separating-filter terms once
-per nest complex type.  One function settles a list of one scheme's
-candidates: `prove_theorem1` passes all of them, `eliminate` passes one.
-It checks the scheme and the ablated rule ids once, each nest-scheme
-triple's nest sizes, allowed zones and Pi_delta once per triple, and the
-chain branches once per nest type.  The stage screen (jump trichotomy, then
-separating formula) runs first; only a candidate it leaves open gets a
-branch search, whose inputs, the empty-triangle closure among them, are
-built once per candidate.  Within a candidate, every
-branch that asks for the same (free zones, budget, deficit) key replays
-one net sequence, built once and only as far as some branch reads it.
-The lambda_0 and corner bounds are decided from per-candidate tables,
-value -> closure key.  This is exact because `_lambda0_violation` reads
-only lambda_0 unless |lambda_0| = 3, and `_triangle_violation` reads only
-the corner value unless it is 3; only such a net builds the predicate's
-argument tuple.  That tuple, like the jump tier's and the oval budget's,
-goes through a memo, so each predicate runs once per distinct input.  The
-budget test runs inline, and a ledger is built only for a net within
-budget (or any net with lemma10 ablated).  Closures merge by evidence, not
-by predicate inputs, and are listed in the order of their first net.
+per nest complex type, and builds its candidates from valid parts without
+re-running `CurveType`'s check.  One function settles a list of one
+scheme's candidates: `prove_theorem1` passes all of them, `eliminate`
+passes one.  It checks the scheme and the ablated rule ids once; each
+nest-scheme triple's nest sizes, allowed zones, Pi_delta and empty-triangle
+closure once per triple; the chain branches once per nest type; and the
+jump stage closure once per (Pi_delta, nu3, crossing).  The stage screen
+(jump trichotomy, then separating formula) runs first; only a candidate it
+leaves open gets a branch search.  The searches of one call share one set
+of value tables (`_SchemeTables`): the evidence and its closures, the memo
+of every per-net rule and the net sequences.  A search holds only what
+varies per candidate: its nest signs, how a net spreads over the zones,
+and which memos apply.  Every branch of the scheme that asks for the same
+(free zones, budget, deficit) key replays one net sequence, built once and
+only as far as some branch reads it.  The lambda_0 and corner bounds are
+decided from value tables, value -> closure key.  This is exact because
+`_lambda0_violation` reads only lambda_0 unless |lambda_0| = 3, and
+`_triangle_violation` reads only the corner value unless it is 3; only
+such a net builds the predicate's argument tuple.  That tuple, like the
+jump tier's and the oval budget's, goes through a memo, so each predicate
+runs once per distinct input in the scheme.  The budget test runs inline,
+and a ledger is built only for a net within budget (or any net with
+lemma10 ablated).  Closures merge by evidence, not by predicate inputs,
+and are listed in the order of their first net.
 
 Interior-chain model (the engine's central commitment, validated against
 the reproduced intermediate values): a separating even nest either
@@ -181,7 +186,7 @@ def no_jump_candidates(scheme: RealScheme) -> list[CurveType]:
     out = []
     for (c1, t1), (c2, t2), (c3, t3) in itertools.product(*options):
         if _structural_fit((t1, t2, t3)):
-            out.append(CurveType((c1, c2, c3)))
+            out.append(CurveType._from_valid_parts((c1, c2, c3)))
     return sorted(out, key=str)
 
 
@@ -216,7 +221,7 @@ def jump_candidates(scheme: RealScheme) -> list[CurveType]:
             jump = _jump_repartition(a_jump, js.diff)
             for (c1, t1), (c2, t2) in itertools.product(*companion_options):
                 if _structural_fit((t1, t2, t3)):
-                    candidate = CurveType((c1, c2, jumped_ct), jump)
+                    candidate = CurveType._from_valid_parts((c1, c2, jumped_ct), jump)
                     seen.setdefault(str(candidate), candidate)
     return [seen[k] for k in sorted(seen)]
 
@@ -239,9 +244,11 @@ class Closure:
 
     def to_json_dict(self) -> dict:
         """A fresh dict.  The branches closed by equal evidence share one
-        evidence dict, so a list in it is copied, with the dict that holds
-        it; a dict of numbers and strings alone is passed as it is, since a
-        copy of every one would add a dict per closure to the output."""
+        evidence dict, across all the candidates of a scheme, so a list in
+        it is copied, with the dict that holds it; a dict of numbers and
+        strings alone is passed as it is, shared with every other output of
+        that evidence, since a copy of every one would add a dict per
+        closure to the output."""
         evidence = self.evidence
         if self.lists:
             evidence = evidence.copy()
@@ -426,14 +433,78 @@ class _Memo(dict):
         return key
 
 
+def _jump_tier(key_of, pd: int, nu3: int, crossing: Optional[bool]) -> _Memo:
+    """The numeric jump tier of one (Pi_delta, nu3, crossing):
+    (deficit, lambda_0 - lambda_4 - lambda_5, lambda_6) -> closure key."""
+    cases = jump_cases_open(pd, nu3, crossing)
+    return _Memo(lambda a: key_of("jump", _jump_violation(pd, cases, *a)))
+
+
+class _SchemeTables:
+    """The value tables that the searches of one `_settle` call share: what
+    they hold depends on the scheme and the ablation, not on the candidate.
+
+    `key_of` keeps a violation's evidence under its closure key, and
+    `closure_of` maps a (closure key, count) to one shared `Closure`.  Each
+    per-net rule maps its input to a closure key, or None, through a memo,
+    so its predicate runs once per distinct input in the scheme; a memo is
+    None where its rule is ablated.  The lambda_0 and corner bounds are
+    keyed by their value alone, but for |lambda_0| = 3 and a corner value 3
+    (_REFINED), which read more of the net.  `nets` holds the net sequences,
+    one per (free zones, budget, deficit).  No memo refers to a search, so
+    each search is freed as soon as its trace is built.
+    """
+
+    def __init__(self, scheme: RealScheme, ablate: tuple[str, ...]):
+        self.scheme = scheme
+        self.ablate = ablate
+        beta = self.beta = scheme.beta
+        identities = self.identities = "lemma10" not in ablate
+        evidence = {}  # closure key -> evidence
+        key_of = self.key_of = functools.partial(_closure_key, evidence)
+        self.closure_of = _Memo(lambda kn: Closure(kn[0][0], evidence[kn[0]], kn[1]))
+        # the empty-triangle closure key per nest-scheme triple, taken only
+        # for a triple that reaches a search
+        self.empty_of = None
+        if "empty_triangles" not in ablate:
+            self.empty_of = _Memo(lambda t: key_of("empty_triangles", _empty_triangles_violation(t)))
+        # the numeric jump tier's memo per (Pi_delta, nu3, crossing)
+        self.jump_tiers = None
+        if "jump" not in ablate:
+            self.jump_tiers = _Memo(lambda a: _jump_tier(key_of, *a))
+        self.lambda0_of = self.corners_of = None
+        if "lambda0_bound" not in ablate:
+            self.lambda0_of = _Memo(lambda v: _REFINED if abs(v) == 3 else key_of(
+                "lambda0_bound", _lambda0_violation(v, None, None, None)))
+            # (lambda_0, all separating, epsilon sum, Q1..Q3 left empty) at
+            # magnitude 3
+            self.lambda0_refined = _Memo(lambda a: key_of("lambda0_bound", _lambda0_violation(
+                a[0], a[1], a[2],
+                tuple(q for q, empty in zip((1, 2, 3), a[3:]) if empty) if identities else None)))
+        if "triangle_bound" not in ablate:
+            self.corners_of = tuple(_Memo(lambda v, zone=zone: _REFINED if v == 3 else key_of(
+                "triangle_bound", _triangle_violation(v, None, zone))) for zone in (1, 2, 3))
+            self.corner_refined = _Memo(lambda a: key_of("triangle_bound", _triangle_violation(*a)))
+        self.over_budget = _Memo(lambda a: key_of("lemma10", _budget_violation(a[0], beta, a[1:])))
+        self.nets: dict[tuple, tuple[list, Iterator]] = {}
+
+
+def _jump_stage(pd: int, nu3: int, crossing: Optional[bool]) -> tuple[Closure, ...]:
+    """The jump stage closure of one (Pi_delta, nu3, crossing), if any."""
+    violation = _jump_stage_violation(pd, nu3, crossing)
+    return (Closure("jump", violation),) if violation else ()
+
+
 def _stage_closures(
-    curve_type: CurveType, pd: int, ablate: tuple[str, ...]
+    curve_type: CurveType, pd: int, ablate: tuple[str, ...], jump_stage: _Memo
 ) -> tuple[Closure, ...]:
-    """The stage screen: the jump trichotomy, then the separating formula."""
-    if curve_type.jump is not None and "jump" not in ablate:
-        violation = _jump_stage_violation(pd, curve_type.schemes[2].nu, curve_type.jump.crossing)
-        if violation:
-            return (Closure("jump", violation),)
+    """The stage screen: the jump trichotomy, then the separating formula.
+    `jump_stage` is `_jump_stage` through a memo."""
+    jump = curve_type.jump
+    if jump is not None and "jump" not in ablate:
+        closures = jump_stage[pd, curve_type.schemes[2].nu, jump.crossing]
+        if closures:
+            return closures
     if "separating" not in ablate:
         verdict = RULES["separating"](Candidate(curve_type=curve_type))
         if verdict.status == VIOLATED:
@@ -444,80 +515,50 @@ def _stage_closures(
 class _Search:
     """The branch search of one candidate that the stage screen leaves
     open: every combination of its nests' chain branches (`per_nest`), each
-    explored by `explore_branch`.  `run()` returns the branch records and
-    the witness, or None.
+    explored by `explore_branch` against the scheme's shared `tables`.  It
+    holds only what varies per candidate: the nest signs, `spread`, its
+    empty-triangle closure and which memos apply.  `run()` returns the
+    branch records and the witness, or None.
     """
 
     def __init__(
         self,
         curve_type: CurveType,
-        scheme: RealScheme,
-        ablate: tuple[str, ...],
+        tables: _SchemeTables,
         pd: int,
         zones: tuple[int, ...],
         per_nest: list[tuple[NestBranch, ...]],
     ):
         self.ct = curve_type
-        self.scheme = scheme
-        self.ablate = ablate
-        self.schemes = curve_type.schemes
-        self.beta = scheme.beta
+        self.tables = tables
         self.pd = pd
         self.zones = zones
         self.per_nest = per_nest
-        self.identities = "lemma10" not in ablate
         # A net padded with one 0 gives (x0, x1, x2, x3) through `spread`.
         self.spread = operator.itemgetter(
-            *(self.zones.index(z) if z in self.zones else len(self.zones) for z in range(4))
+            *(zones.index(z) if z in zones else len(zones) for z in range(4))
         )
-        self.nest_signs = tuple(s.nu for s in self.schemes)
-        # The memos below hold the evidence dict, not self, so the search and
-        # its nets are freed as soon as its trace is built.
-        evidence = self.evidence = {}  # closure key -> evidence
-        key_of = functools.partial(_closure_key, evidence)
-        # (closure key, count) -> closure
-        self.closure_of = _Memo(lambda kn: Closure(kn[0][0], evidence[kn[0]], kn[1]))
+        schemes = curve_type.schemes
+        self.nest_signs = tuple(s.nu for s in schemes)
+        self.all_sep = all(ct.separating for ct in curve_type.nests)
         # The closures of every branch with no interior oval in a triangle,
         # when no exterior oval can reach one either.
         self.empty_key = self.empty_closed = None
-        if "empty_triangles" not in ablate:
-            self.empty_key = key_of("empty_triangles", _empty_triangles_violation(self.schemes))
-        if self.empty_key and (not zones or self.beta == 0):
-            self.empty_closed = self._closures({self.empty_key: 1})
-        # Each per-net rule maps its input to a closure key, or None, through
-        # a memo, so its predicate runs once per distinct input; None where
-        # the rule is ablated or, for the jump's numeric tier, does not apply.
-        # The lambda_0 and corner bounds are keyed by their value alone, but
-        # for |lambda_0| = 3 and a corner value 3 (_REFINED), which read more
-        # of the net.
-        beta, identities = self.beta, self.identities
-        all_sep = all(ct.separating for ct in curve_type.nests)
-        self.jump_of = self.lambda0_of = self.corners_of = None
-        if curve_type.jump is not None and "jump" not in ablate:
-            cases = jump_cases_open(pd, self.schemes[2].nu, curve_type.jump.crossing)
-            self.jump_of = _Memo(lambda a: key_of("jump", _jump_violation(pd, cases, *a)))
-        if "lambda0_bound" not in ablate:
-            self.lambda0_of = _Memo(lambda v: _REFINED if abs(v) == 3 else key_of(
-                "lambda0_bound", _lambda0_violation(v, None, None, None)))
-            # (lambda_0, epsilon sum, Q1..Q3 left empty) at magnitude 3
-            self.lambda0_refined = _Memo(lambda a: key_of("lambda0_bound", _lambda0_violation(
-                a[0], all_sep, a[1],
-                tuple(q for q, empty in zip((1, 2, 3), a[2:]) if empty) if identities else None)))
-        if "triangle_bound" not in ablate:
-            self.corners_of = tuple(_Memo(lambda v, zone=zone: _REFINED if v == 3 else key_of(
-                "triangle_bound", _triangle_violation(v, None, zone))) for zone in (1, 2, 3))
-            self.corner_refined = _Memo(lambda a: key_of("triangle_bound", _triangle_violation(*a)))
-        self.over_budget = _Memo(lambda a: key_of("lemma10", _budget_violation(a[0], beta, a[1:])))
-        # The net sequences of this candidate's branches, one per key.
-        self.nets: dict[tuple, tuple[list, Iterator]] = {}
+        if tables.empty_of is not None:
+            self.empty_key = tables.empty_of[schemes]
+        if self.empty_key and (not zones or tables.beta == 0):
+            self.empty_closed = (tables.closure_of[self.empty_key, 1],)
+        self.jump_of = None
+        if curve_type.jump is not None and tables.jump_tiers is not None:
+            self.jump_of = tables.jump_tiers[pd, schemes[2].nu, curve_type.jump.crossing]
 
     def _close(self, tally: dict, rule_id: str, violation: dict) -> None:
-        key = _closure_key(self.evidence, rule_id, violation)
+        key = self.tables.key_of(rule_id, violation)
         tally[key] = tally.get(key, 0) + 1
 
     def _closures(self, tally: dict) -> tuple[Closure, ...]:
         """The closures of a tally, one shared object per (key, count)."""
-        return tuple(map(self.closure_of.__getitem__, tally.items()))
+        return tuple(map(self.tables.closure_of.__getitem__, tally.items()))
 
     def explore_branch(
         self, branches: tuple[NestBranch, ...]
@@ -555,19 +596,21 @@ class _Search:
         quad_net = (0, b2.w[0] + b3.w[0], b1.w[0] + b3.w[1], b1.w[1] + b2.w[1])
         q1, q2, q3 = quad_net[1] == 0, quad_net[2] == 0, quad_net[3] == 0
 
+        tables = self.tables
+        beta = tables.beta
+        identities = tables.identities
         deficit_rhs = None
-        if self.identities:
+        if identities:
             deficit_rhs = self.pd - 4 - (sh0 - t4 - t5 - t6)
         empty_key = self.empty_key if no_pop else None
         spread = self.spread
-        beta = self.beta
-        identities = self.identities
+        all_sep = self.all_sep
         jump_of = self.jump_of
-        lambda0_of = self.lambda0_of
-        corner1, corner2, corner3 = self.corners_of or (None, None, None)
+        lambda0_of = tables.lambda0_of
+        corner1, corner2, corner3 = tables.corners_of or (None, None, None)
         tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
         checked = 0
-        for net in _free_assignments(self.zones, beta, deficit_rhs, self.nets):
+        for net in _free_assignments(self.zones, beta, deficit_rhs, tables.nets):
             checked += 1
             x0, x1, x2, x3 = spread(net + (0,))
             lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
@@ -590,8 +633,8 @@ class _Search:
             if lambda0_of is not None:
                 key = lambda0_of[lam0]
                 if key is _REFINED:
-                    key = self.lambda0_refined[
-                        lam0, eps_sum, q1 and rhs1 - lam0 + lam4 == 0,
+                    key = tables.lambda0_refined[
+                        lam0, all_sep, eps_sum, q1 and rhs1 - lam0 + lam4 == 0,
                         q2 and rhs2 - lam0 + lam5 == 0, q3 and rhs3 - lam0 + lam6 == 0
                     ]
                 if key:
@@ -616,7 +659,7 @@ class _Search:
             required = (abs(x0) + abs(x1) + abs(x2) + abs(x3) + abs(p1 - quad_net[1])
                         + abs(p2 - quad_net[2]) + abs(p3 - quad_net[3]))
             if required > beta and identities:
-                key = self.over_budget[required, lam0, p1, p2, p3, lam4, lam5, lam6]
+                key = tables.over_budget[required, lam0, p1, p2, p3, lam4, lam5, lam6]
                 tally[key] = tally.get(key, 0) + 1
                 continue
 
@@ -637,10 +680,11 @@ class _Search:
 
     def _refined_corner(self, values: tuple[int, int, int], deficit: int) -> Optional[tuple]:
         """The first corner closure of a net with a corner value 3."""
+        tables = self.tables
         for zone, value in enumerate(values, 1):
-            key = self.corners_of[zone - 1][value]
+            key = tables.corners_of[zone - 1][value]
             if key is _REFINED:
-                key = self.corner_refined[value, deficit, zone]
+                key = tables.corner_refined[value, deficit, zone]
             if key:
                 return key
         return None
@@ -651,7 +695,7 @@ class _Search:
         """The ledger of a net the bounds leave open, or None when a rule
         closes it.  `pinned` is the identities' quadrangle values, or None
         when they need more ovals than beta (only with lemma10 ablated)."""
-        beta = self.beta
+        beta = self.tables.beta
         ext_used = sum(abs(v) for v in xs)
         if pinned is not None:
             # the identities' solution, the preferred witness shape even
@@ -686,7 +730,7 @@ class _Search:
         lambda_delta = sum(lam) + sum(eps6)
         if (OVALS + lambda_delta) % 2:
             raise EngineError("parity failure in the ledger build")
-        pairs = total_pairs(self.scheme)
+        pairs = total_pairs(self.tables.scheme)
         ledger = OrientationLedger(
             lam=lam,
             eps=eps6,
@@ -706,7 +750,7 @@ class _Search:
             triangles_empty=all(p == 0 for p in (pops[0], pops[4], pops[5], pops[6])),
             exterior_triangle_pops=tuple(abs(x) for x in xs),
         )
-        verdicts = evaluate_all(candidate, ablate=self.ablate)
+        verdicts = evaluate_all(candidate, ablate=self.tables.ablate)
         for rule_id, verdict in verdicts.items():
             if verdict.status == VIOLATED:
                 self._close(tally, rule_id, verdict.evidence)
@@ -732,14 +776,17 @@ def _settle(
     branch search of each candidate the screen leaves open.
 
     The candidates share one entry per nest-scheme triple (its nest sizes
-    checked against the scheme, its allowed zones and Pi_delta) and the
-    chain branches of each (complex type, jumped) pair.
+    checked against the scheme, its allowed zones and Pi_delta), the jump
+    stage closure of each (Pi_delta, nu3, crossing), the chain branches of
+    each (complex type, jumped) pair, and one `_SchemeTables`.
     """
     if sum(scheme.alpha) + scheme.beta != EMPTY_OVALS:
         raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
     check_rule_ids(ablate)
     scheme_text = str(scheme)
     alphas = sorted(scheme.alpha)
+    jump_stage = _Memo(lambda a: _jump_stage(*a))
+    tables = None  # built for the first candidate that reaches a search
     triples: dict[tuple, tuple[int, tuple[int, ...]]] = {}
     branches_of: dict[tuple, tuple[NestBranch, ...]] = {}
     traces = []
@@ -752,16 +799,18 @@ def _settle(
             zones = (0, 1, 2, 3) if "exterior_zone" in ablate else allowed_zones(*schemes)
             entry = triples[schemes] = pi_delta(schemes), zones
         pd, zones = entry
-        stage = _stage_closures(ct, pd, ablate)
+        stage = _stage_closures(ct, pd, ablate, jump_stage)
         branches, witness = (), None
         if not stage:
+            if tables is None:
+                tables = _SchemeTables(scheme, ablate)
             per_nest = []
             for i, nest in enumerate(ct.nests):
                 key = (nest, ct.jump is not None and i == 2)  # the jumped nest is third
                 if key not in branches_of:
                     branches_of[key] = nest_branches(*key)
                 per_nest.append(branches_of[key])
-            branches, witness = _Search(ct, scheme, ablate, pd, zones, per_nest).run()
+            branches, witness = _Search(ct, tables, pd, zones, per_nest).run()
         outcome = "eliminated" if witness is None else "survives"
         traces.append(
             ProofTrace(str(ct), scheme_text, outcome, zones, stage, branches, witness)

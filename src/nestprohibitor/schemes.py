@@ -445,8 +445,24 @@ class CurveType:
                     "an all-odd repartition forces interior imbalance 2"
                 )
 
-    @property
+    @classmethod
+    def _from_valid_parts(
+        cls, nests: tuple[ComplexType, ComplexType, ComplexType], jump: Optional[Jump] = None
+    ) -> "CurveType":
+        """A curve type built without the check of `__post_init__`, for the
+        candidate enumerator alone: its unjumped nests have imbalance at
+        most 1, its jumped nest is non-separating, and the repartition it
+        gives a jump exhausts that nest and is all odd exactly at imbalance
+        2, so the check would pass."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "nests", nests)
+        object.__setattr__(self, "jump", jump)
+        return self
+
+    @cached_property
     def schemes(self) -> tuple[NestScheme, NestScheme, NestScheme]:
+        """The nest schemes, built once: the search and the rules read them
+        for every candidate."""
         return tuple(ct.scheme for ct in self.nests)
 
     def alphas(self) -> tuple[int, int, int]:

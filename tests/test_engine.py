@@ -202,6 +202,17 @@ class TestCandidateEnumeration:
             expected = reference_no_jump_candidates(scheme) + reference_jump_candidates(scheme)
             assert candidates(scheme) == expected, scheme
 
+    def test_enumerated_candidates_pass_the_public_check(self):
+        # the enumerator builds its candidates without CurveType's check;
+        # the public constructor runs it and accepts every one unchanged
+        schemes = enumerate_three_nest_schemes(lambda s: s.all_even)
+        schemes += enumerate_three_nest_schemes()[::9]
+        for scheme in schemes:
+            for c in candidates(scheme):
+                checked = CurveType(c.nests, c.jump)
+                assert c == checked and str(c) == str(checked), (scheme, c)
+                assert c.schemes == checked.schemes == tuple(n.scheme for n in c.nests)
+
     def test_per_nest_options_for_alpha_one(self):
         assert len(nest_complex_types(1)) == 8
 
@@ -404,6 +415,20 @@ class TestFreeAssignments:
         assert first == [next(_eager_free_assignments(free, 25, 1))]
 
 
+def shared_list_evidence(traces):
+    """The first two traces with a branch closure each whose evidence is
+    one shared dict holding a list."""
+    owner = {}
+    for trace in traces:
+        for branch in trace.branches:
+            for closure in branch.closures:
+                if closure.lists:
+                    first = owner.setdefault(id(closure.evidence), trace)
+                    if first is not trace:
+                        return first, trace
+    raise AssertionError("no two traces share list-holding evidence")
+
+
 class TestTraceProperties:
     def test_determinism(self):
         candidate = figure20_candidate(FIG20_ROWS[3], SCHEME_2_2_20)
@@ -422,6 +447,18 @@ class TestTraceProperties:
         closure["evidence"]["schemes"].append("(+, n)")
         assert json.dumps(trace.to_json_dict()) == expected
         assert sibling.to_json_dict() == json.loads(expected)["branches"][1]
+        # the candidates of one scheme share their closures as well: here two
+        # are closed by one empty-triangle evidence, which holds a list
+        traces = prove_theorem1(schemes=[RealScheme((1, 2, 22), 0)]).results[0].traces
+        first, other = shared_list_evidence(traces)
+        expected = [json.dumps(t.to_json_dict()) for t in (first, other)]
+        for branch in first.to_json_dict()["branches"]:
+            for closure in branch["closures"]:
+                closure["count"] += 1
+                for value in closure["evidence"].values():
+                    if type(value) is list:
+                        value.append(0)
+        assert [json.dumps(t.to_json_dict()) for t in (first, other)] == expected
 
     def test_soundness_replay(self):
         for row in FIG20_ROWS:
@@ -627,20 +664,25 @@ CONTEXT_CASES = [
 
 class TestSettle:
     # prove_theorem1 settles a scheme's candidates in one _settle call, which
-    # shares the allowed zones and the chain branches between them;
-    # eliminate settles one candidate alone.
+    # shares the per-triple entries, the chain branches, the closures, the
+    # rule memos and the net sequences between them; eliminate settles one
+    # candidate alone.
     @pytest.mark.parametrize("scheme, ablate", CONTEXT_CASES)
     def test_scheme_run_equals_standalone_eliminate(self, scheme, ablate):
         real = parse_real_scheme(scheme)
         report = prove_theorem1(ablate=ablate, schemes=[real])
-        shared = [t.to_json_dict() for t in report.results[0].traces]
-        standalone = [eliminate(c, real, ablate).to_json_dict() for c in candidates(real)]
-        assert json.dumps(shared) == json.dumps(standalone)
+        shared = [json.dumps(t.to_json_dict()) for t in report.results[0].traces]
+        standalone = [eliminate(c, real, ablate) for c in candidates(real)]
+        assert [json.dumps(t.to_json_dict()) for t in standalone] == shared
+        # filling the shared tables in the reverse order changes no trace
+        reverse = engine._settle(real, candidates(real)[::-1], ablate)[::-1]
+        assert [json.dumps(t.to_json_dict()) for t in reverse] == shared
 
     @pytest.mark.parametrize("ablate", [(), ("lemma10",)])
     def test_search_is_freed_without_the_cycle_collector(self, monkeypatch, ablate):
-        # A candidate's search holds its net sequences; nothing it holds
-        # refers back to it, so it is freed as soon as its trace is built.
+        # The scheme's shared tables hold the memos and the net sequences, and
+        # nothing in them or in a search refers back to the search, so each
+        # search is freed as soon as its trace is built.
         searches = []
         run = engine._Search.run
 
