@@ -52,8 +52,9 @@ def _cmd_check(args) -> int:
         except KeyError as err:
             print(f"error: ledger {args.ledger}: missing field {err}", file=sys.stderr)
             return EXIT_USAGE
-        except (OSError, TypeError, ValueError) as err:
-            # ValueError covers json.JSONDecodeError and LedgerError.
+        except (OSError, TypeError, ValueError, RecursionError) as err:
+            # ValueError covers json.JSONDecodeError and LedgerError;
+            # RecursionError, JSON nested deeper than json.load reads.
             print(f"error: ledger {args.ledger}: {err}", file=sys.stderr)
             return EXIT_USAGE
         candidate = Candidate(ledger=ledger)

@@ -16,27 +16,28 @@ changes a trace.  The enumerator takes its separating-filter terms once
 per nest complex type, and builds its candidates from valid parts without
 re-running `CurveType`'s check.  One function settles a list of one
 scheme's candidates: `prove_theorem1` passes all of them, `eliminate`
-passes one.  It checks the scheme and the ablated rule ids once; each
-nest-scheme triple's nest sizes, allowed zones, Pi_delta and empty-triangle
-closure once per triple; the chain branches once per nest type; and the
-jump stage closure once per (Pi_delta, nu3, crossing).  The stage screen
-(jump trichotomy, then separating formula) runs first; only a candidate it
-leaves open gets a branch search.  The searches of one call share one set
-of value tables (`_SchemeTables`): the evidence and its closures, the memo
-of every per-net rule and the net sequences.  A search holds only what
-varies per candidate: its nest signs, how a net spreads over the zones,
-and which memos apply.  Every branch of the scheme that asks for the same
-(free zones, budget, deficit) key replays one net sequence, built once and
-only as far as some branch reads it.  The lambda_0 and corner bounds are
-decided from value tables, value -> closure key.  This is exact because
-`_lambda0_violation` reads only lambda_0 unless |lambda_0| = 3, and
-`_triangle_violation` reads only the corner value unless it is 3; only
-such a net builds the predicate's argument tuple.  That tuple, like the
-jump tier's and the oval budget's, goes through a memo, so each predicate
-runs once per distinct input in the scheme.  The budget test runs inline,
-and a ledger is built only for a net within budget (or any net with
-lemma10 ablated).  Closures merge by evidence, not by predicate inputs,
-and are listed in the order of their first net.
+passes one.  It checks the scheme and the ablated rule ids once, and
+settles every candidate against one table object (`_SchemeTables`) of
+what depends on the scheme and the ablation alone: per nest-scheme triple
+the nest sizes, allowed zones and Pi_delta; the chain branches; the
+closures; each rule's memo; the net sequences.  An ablated rule gets no
+closure key, so every memo is built as for no ablation; only the rules
+that change the search space (exterior_zone's zones, lemma10's identities
+and budget, the ledger's `evaluate_all`) read the ablated ids.  The stage
+screen (jump trichotomy, then separating formula) runs first; only a
+candidate it leaves open gets a branch search, which holds only what
+varies per candidate.  Every branch that asks for the same (free zones,
+budget, deficit) key replays one net sequence, built only as far as some
+branch reads it.  The lambda_0 and corner bounds are decided from value
+tables, value -> closure key.  This is exact because `_lambda0_violation`
+reads only lambda_0 unless |lambda_0| = 3, and `_triangle_violation`
+reads only the corner value unless it is 3; only such a net builds the
+predicate's argument tuple.  That tuple, like the jump tier's and the oval
+budget's, goes through a memo, so each predicate runs once per distinct
+input in the scheme.  The budget test runs inline, and a ledger is built
+only for a net within budget (or any net with lemma10 ablated).  Closures
+merge by evidence, not by predicate inputs, and are listed in the order
+of their first net.
 
 Interior-chain model (the engine's central commitment, validated against
 the reproduced intermediate values): a separating even nest either
@@ -50,6 +51,7 @@ jumped chain may place single ovals in the triangles.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import operator
@@ -81,7 +83,6 @@ from .schemes import (
     EMPTY_OVALS,
     MINUS,
     OVALS,
-    PLUS,
     ComplexType,
     CurveType,
     Jump,
@@ -373,7 +374,7 @@ def _free_assignments(
     free: tuple[int, ...],
     budget: int,
     deficit_rhs: Optional[int],
-    sequences: dict[tuple, tuple[list, Iterator]],
+    sequences: dict[tuple, Iterator[tuple[int, ...]]],
 ) -> Iterator[tuple[int, ...]]:
     """Exterior triangle nets over the free zones, deficit equation applied.
 
@@ -386,24 +387,17 @@ def _free_assignments(
 
     Nets are ordered by total absolute value, then by the values tuple.
     Every consumer passing the same `sequences` replays one sequence per
-    key: `sequences[key]` holds the sorted runs of `_net_levels` built so
-    far and the builder of the rest, and a run is built when the first
-    consumer gets that far.  A consumer that stops at a witness never
-    builds the later runs.
+    key: `sequences[key]` is a tee over the runs of `_net_levels` that no
+    consumer advances, and each consumer reads a copy of it.  A net is
+    built when the first consumer gets that far, and the tee keeps it for
+    the others; a consumer that stops at a witness never builds the later
+    runs.
     """
     key = (free, budget, deficit_rhs)
     if key not in sequences:
-        sequences[key] = [], _net_levels(*key)
-    runs, builder = sequences[key]
-    done = 0
-    while True:
-        if done == len(runs):
-            run = next(builder, None)
-            if run is None:
-                return
-            runs.append(run)
-        yield from runs[done]
-        done += 1
+        nets = itertools.chain.from_iterable(_net_levels(*key))
+        sequences[key] = itertools.tee(nets, 1)[0]
+    return copy.copy(sequences[key])
 
 
 # The quadrangle zones adjacent to nest 0, 1 and 2.
@@ -412,10 +406,12 @@ _QUAD_ZONES = ((2, 3), (1, 3), (1, 2))
 _REFINED = object()  # a bound's value whose verdict reads more of the net
 
 
-def _closure_key(evidence: dict, rule_id: str, violation: Optional[dict]) -> Optional[tuple]:
-    """None for no violation, else the key that merges equal evidence; the
-    evidence is kept in `evidence` under its key."""
-    if violation is None:
+def _closure_key(
+    evidence: dict, ablate: tuple[str, ...], rule_id: str, violation: Optional[dict]
+) -> Optional[tuple]:
+    """None for no violation or an ablated rule, else the key that merges
+    equal evidence; the evidence is kept in `evidence` under its key."""
+    if violation is None or rule_id in ablate:
         return None
     key = (rule_id, repr(sorted(violation.items())))
     evidence.setdefault(key, violation)
@@ -433,26 +429,35 @@ class _Memo(dict):
         return key
 
 
-def _jump_tier(key_of, pd: int, nu3: int, crossing: Optional[bool]) -> _Memo:
-    """The numeric jump tier of one (Pi_delta, nu3, crossing):
-    (deficit, lambda_0 - lambda_4 - lambda_5, lambda_6) -> closure key."""
+def _jump_tables(key_of, closure_of, pd: int, nu3: int, crossing: Optional[bool]):
+    """The jump stage closures of one (Pi_delta, nu3, crossing), and its
+    numeric tier: (deficit, lambda_0 - lambda_4 - lambda_5, lambda_6) ->
+    closure key."""
+    key = key_of("jump", _jump_stage_violation(pd, nu3, crossing))
     cases = jump_cases_open(pd, nu3, crossing)
-    return _Memo(lambda a: key_of("jump", _jump_violation(pd, cases, *a)))
+    tier = _Memo(lambda a: key_of("jump", _jump_violation(pd, cases, *a)))
+    return ((closure_of[key, 1],) if key else ()), tier
 
 
 class _SchemeTables:
-    """The value tables that the searches of one `_settle` call share: what
-    they hold depends on the scheme and the ablation, not on the candidate.
+    """The value tables of one `_settle` call, shared by all the scheme's
+    candidates: what they hold depends on the scheme and the ablation, not
+    on the candidate.
 
-    `key_of` keeps a violation's evidence under its closure key, and
-    `closure_of` maps a (closure key, count) to one shared `Closure`.  Each
-    per-net rule maps its input to a closure key, or None, through a memo,
-    so its predicate runs once per distinct input in the scheme; a memo is
-    None where its rule is ablated.  The lambda_0 and corner bounds are
-    keyed by their value alone, but for |lambda_0| = 3 and a corner value 3
-    (_REFINED), which read more of the net.  `nets` holds the net sequences,
-    one per (free zones, budget, deficit).  No memo refers to a search, so
-    each search is freed as soon as its trace is built.
+    `triples` maps a nest-scheme triple to its (Pi_delta, allowed zones),
+    its nest sizes checked, and `branches_of` a (complex type, jumped) pair
+    to its chain branches.  `key_of` keeps a violation's evidence under its
+    closure key, None for no violation or an ablated rule, and `closure_of`
+    maps a (closure key, count) to one shared `Closure`: every closure
+    `_settle` emits comes from these two.  Each rule maps its input to a
+    closure key, or None, through a memo, so its predicate runs once per
+    distinct input in the scheme; `jumps` gives the jump stage closures and
+    the numeric jump tier per (Pi_delta, nu3, crossing).  The lambda_0 and
+    corner bounds are keyed by their value alone, but for |lambda_0| = 3
+    and a corner value 3 (_REFINED), which read more of the net.  `nets`
+    holds the net sequences, one per (free zones, budget, deficit).  No
+    memo refers to the tables or to a search, so neither needs the cycle
+    collector to be freed.
     """
 
     def __init__(self, scheme: RealScheme, ablate: tuple[str, ...]):
@@ -460,56 +465,45 @@ class _SchemeTables:
         self.ablate = ablate
         beta = self.beta = scheme.beta
         identities = self.identities = "lemma10" not in ablate
+        alphas = sorted(scheme.alpha)
+        all_zones = "exterior_zone" in ablate
+
+        def triple(schemes):
+            if sorted(s.alpha for s in schemes) != alphas:
+                raise EngineError("candidate nests do not match the scheme")
+            return pi_delta(schemes), (0, 1, 2, 3) if all_zones else allowed_zones(*schemes)
+
+        self.triples = _Memo(triple)
+        self.branches_of = _Memo(lambda a: nest_branches(*a))
         evidence = {}  # closure key -> evidence
-        key_of = self.key_of = functools.partial(_closure_key, evidence)
-        self.closure_of = _Memo(lambda kn: Closure(kn[0][0], evidence[kn[0]], kn[1]))
-        # the empty-triangle closure key per nest-scheme triple, taken only
-        # for a triple that reaches a search
-        self.empty_of = None
-        if "empty_triangles" not in ablate:
-            self.empty_of = _Memo(lambda t: key_of("empty_triangles", _empty_triangles_violation(t)))
-        # the numeric jump tier's memo per (Pi_delta, nu3, crossing)
-        self.jump_tiers = None
-        if "jump" not in ablate:
-            self.jump_tiers = _Memo(lambda a: _jump_tier(key_of, *a))
-        self.lambda0_of = self.corners_of = None
-        if "lambda0_bound" not in ablate:
-            self.lambda0_of = _Memo(lambda v: _REFINED if abs(v) == 3 else key_of(
-                "lambda0_bound", _lambda0_violation(v, None, None, None)))
-            # (lambda_0, all separating, epsilon sum, Q1..Q3 left empty) at
-            # magnitude 3
-            self.lambda0_refined = _Memo(lambda a: key_of("lambda0_bound", _lambda0_violation(
-                a[0], a[1], a[2],
-                tuple(q for q, empty in zip((1, 2, 3), a[3:]) if empty) if identities else None)))
-        if "triangle_bound" not in ablate:
-            self.corners_of = tuple(_Memo(lambda v, zone=zone: _REFINED if v == 3 else key_of(
-                "triangle_bound", _triangle_violation(v, None, zone))) for zone in (1, 2, 3))
-            self.corner_refined = _Memo(lambda a: key_of("triangle_bound", _triangle_violation(*a)))
+        key_of = self.key_of = functools.partial(_closure_key, evidence, ablate)
+        closure_of = self.closure_of = _Memo(lambda kn: Closure(kn[0][0], evidence[kn[0]], kn[1]))
+        self.empty_of = _Memo(lambda t: key_of("empty_triangles", _empty_triangles_violation(t)))
+        self.jumps = _Memo(lambda a: _jump_tables(key_of, closure_of, *a))
+        self.lambda0_of = _Memo(lambda v: _REFINED if abs(v) == 3 else key_of(
+            "lambda0_bound", _lambda0_violation(v, None, None, None)))
+        # (lambda_0, all separating, epsilon sum, Q1..Q3 left empty) at
+        # magnitude 3
+        self.lambda0_refined = _Memo(lambda a: key_of("lambda0_bound", _lambda0_violation(
+            a[0], a[1], a[2],
+            tuple(q for q, empty in zip((1, 2, 3), a[3:]) if empty) if identities else None)))
+        self.corners_of = tuple(_Memo(lambda v, zone=zone: _REFINED if v == 3 else key_of(
+            "triangle_bound", _triangle_violation(v, None, zone))) for zone in (1, 2, 3))
+        self.corner_refined = _Memo(lambda a: key_of("triangle_bound", _triangle_violation(*a)))
         self.over_budget = _Memo(lambda a: key_of("lemma10", _budget_violation(a[0], beta, a[1:])))
-        self.nets: dict[tuple, tuple[list, Iterator]] = {}
+        self.nets: dict[tuple, Iterator[tuple[int, ...]]] = {}
 
 
-def _jump_stage(pd: int, nu3: int, crossing: Optional[bool]) -> tuple[Closure, ...]:
-    """The jump stage closure of one (Pi_delta, nu3, crossing), if any."""
-    violation = _jump_stage_violation(pd, nu3, crossing)
-    return (Closure("jump", violation),) if violation else ()
-
-
-def _stage_closures(
-    curve_type: CurveType, pd: int, ablate: tuple[str, ...], jump_stage: _Memo
-) -> tuple[Closure, ...]:
-    """The stage screen: the jump trichotomy, then the separating formula.
-    `jump_stage` is `_jump_stage` through a memo."""
+def _stage_closures(curve_type: CurveType, pd: int, tables: _SchemeTables) -> tuple[Closure, ...]:
+    """The stage screen: the jump trichotomy, then the separating formula."""
     jump = curve_type.jump
-    if jump is not None and "jump" not in ablate:
-        closures = jump_stage[pd, curve_type.schemes[2].nu, jump.crossing]
+    if jump is not None:
+        closures, _ = tables.jumps[pd, curve_type.schemes[2].nu, jump.crossing]
         if closures:
             return closures
-    if "separating" not in ablate:
-        verdict = RULES["separating"](Candidate(curve_type=curve_type))
-        if verdict.status == VIOLATED:
-            return (Closure("separating", verdict.evidence),)
-    return ()
+    verdict = RULES["separating"](Candidate(curve_type=curve_type))
+    key = tables.key_of("separating", verdict.evidence)
+    return (tables.closure_of[key, 1],) if key else ()
 
 
 class _Search:
@@ -517,23 +511,22 @@ class _Search:
     open: every combination of its nests' chain branches (`per_nest`), each
     explored by `explore_branch` against the scheme's shared `tables`.  It
     holds only what varies per candidate: the nest signs, `spread`, its
-    empty-triangle closure and which memos apply.  `run()` returns the
-    branch records and the witness, or None.
+    empty-triangle closure and its jump tier.  `run()` returns the branch
+    records and the witness, or None.
     """
 
     def __init__(
-        self,
-        curve_type: CurveType,
-        tables: _SchemeTables,
-        pd: int,
-        zones: tuple[int, ...],
-        per_nest: list[tuple[NestBranch, ...]],
+        self, curve_type: CurveType, tables: _SchemeTables, pd: int, zones: tuple[int, ...]
     ):
         self.ct = curve_type
         self.tables = tables
         self.pd = pd
         self.zones = zones
-        self.per_nest = per_nest
+        jump = curve_type.jump
+        self.per_nest = [
+            tables.branches_of[nest, jump is not None and i == 2]  # the jumped nest is third
+            for i, nest in enumerate(curve_type.nests)
+        ]
         # A net padded with one 0 gives (x0, x1, x2, x3) through `spread`.
         self.spread = operator.itemgetter(
             *(zones.index(z) if z in zones else len(zones) for z in range(4))
@@ -543,18 +536,13 @@ class _Search:
         self.all_sep = all(ct.separating for ct in curve_type.nests)
         # The closures of every branch with no interior oval in a triangle,
         # when no exterior oval can reach one either.
-        self.empty_key = self.empty_closed = None
-        if tables.empty_of is not None:
-            self.empty_key = tables.empty_of[schemes]
+        self.empty_key = tables.empty_of[schemes]
+        self.empty_closed = None
         if self.empty_key and (not zones or tables.beta == 0):
             self.empty_closed = (tables.closure_of[self.empty_key, 1],)
         self.jump_of = None
-        if curve_type.jump is not None and tables.jump_tiers is not None:
-            self.jump_of = tables.jump_tiers[pd, schemes[2].nu, curve_type.jump.crossing]
-
-    def _close(self, tally: dict, rule_id: str, violation: dict) -> None:
-        key = self.tables.key_of(rule_id, violation)
-        tally[key] = tally.get(key, 0) + 1
+        if jump is not None:
+            _, self.jump_of = tables.jumps[pd, schemes[2].nu, jump.crossing]
 
     def _closures(self, tally: dict) -> tuple[Closure, ...]:
         """The closures of a tally, one shared object per (key, count)."""
@@ -607,7 +595,7 @@ class _Search:
         all_sep = self.all_sep
         jump_of = self.jump_of
         lambda0_of = tables.lambda0_of
-        corner1, corner2, corner3 = tables.corners_of or (None, None, None)
+        corner1, corner2, corner3 = tables.corners_of
         tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
         checked = 0
         for net in _free_assignments(self.zones, beta, deficit_rhs, tables.nets):
@@ -630,25 +618,23 @@ class _Search:
 
             # Central-triangle bound; at magnitude 3 its refinements read the
             # branch and which quadrangles the identities leave empty.
-            if lambda0_of is not None:
-                key = lambda0_of[lam0]
-                if key is _REFINED:
-                    key = tables.lambda0_refined[
-                        lam0, all_sep, eps_sum, q1 and rhs1 - lam0 + lam4 == 0,
-                        q2 and rhs2 - lam0 + lam5 == 0, q3 and rhs3 - lam0 + lam6 == 0
-                    ]
-                if key:
-                    tally[key] = tally.get(key, 0) + 1
-                    continue
+            key = lambda0_of[lam0]
+            if key is _REFINED:
+                key = tables.lambda0_refined[
+                    lam0, all_sep, eps_sum, q1 and rhs1 - lam0 + lam4 == 0,
+                    q2 and rhs2 - lam0 + lam5 == 0, q3 and rhs3 - lam0 + lam6 == 0
+                ]
+            if key:
+                tally[key] = tally.get(key, 0) + 1
+                continue
 
             # Corner-triangle bounds, T1..T3; a value 3 also reads the deficit.
-            if corner1 is not None:
-                key = corner1[lam4] or corner2[lam5] or corner3[lam6]
-                if key is _REFINED:
-                    key = self._refined_corner((lam4, lam5, lam6), deficit)
-                if key:
-                    tally[key] = tally.get(key, 0) + 1
-                    continue
+            key = corner1[lam4] or corner2[lam5] or corner3[lam6]
+            if key is _REFINED:
+                key = self._refined_corner((lam4, lam5, lam6), deficit)
+            if key:
+                tally[key] = tally.get(key, 0) + 1
+                continue
 
             # The quadrangle values the identities pin, and the oval budget
             # they need.  The cost always has the parity of beta: mod 2 it is
@@ -673,9 +659,10 @@ class _Search:
         if not checked:
             # only possible with no free zone at all: the deficit identity
             # fails on the forced values
-            self._close(
-                tally, "lemma10", _deficit_identity_violation(self.pd - 4, sh0 - t4 - t5 - t6)
+            key = tables.key_of(
+                "lemma10", _deficit_identity_violation(self.pd - 4, sh0 - t4 - t5 - t6)
             )
+            tally[key] = tally.get(key, 0) + 1
         return self._closures(tally), checked, None
 
     def _refined_corner(self, values: tuple[int, int, int], deficit: int) -> Optional[tuple]:
@@ -753,7 +740,8 @@ class _Search:
         verdicts = evaluate_all(candidate, ablate=self.tables.ablate)
         for rule_id, verdict in verdicts.items():
             if verdict.status == VIOLATED:
-                self._close(tally, rule_id, verdict.evidence)
+                key = self.tables.key_of(rule_id, verdict.evidence)
+                tally[key] = tally.get(key, 0) + 1
                 return None
         return ledger
 
@@ -773,44 +761,21 @@ def _settle(
     scheme: RealScheme, candidates: list[CurveType], ablate: tuple[str, ...]
 ) -> tuple[ProofTrace, ...]:
     """The trace of each candidate of one scheme: the stage screen, then the
-    branch search of each candidate the screen leaves open.
-
-    The candidates share one entry per nest-scheme triple (its nest sizes
-    checked against the scheme, its allowed zones and Pi_delta), the jump
-    stage closure of each (Pi_delta, nu3, crossing), the chain branches of
-    each (complex type, jumped) pair, and one `_SchemeTables`.
+    branch search of each candidate the screen leaves open, all against
+    one `_SchemeTables`.
     """
     if sum(scheme.alpha) + scheme.beta != EMPTY_OVALS:
         raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
     check_rule_ids(ablate)
     scheme_text = str(scheme)
-    alphas = sorted(scheme.alpha)
-    jump_stage = _Memo(lambda a: _jump_stage(*a))
-    tables = None  # built for the first candidate that reaches a search
-    triples: dict[tuple, tuple[int, tuple[int, ...]]] = {}
-    branches_of: dict[tuple, tuple[NestBranch, ...]] = {}
+    tables = _SchemeTables(scheme, ablate)
     traces = []
     for ct in candidates:
-        schemes = ct.schemes
-        entry = triples.get(schemes)
-        if entry is None:
-            if sorted(s.alpha for s in schemes) != alphas:
-                raise EngineError("candidate nests do not match the scheme")
-            zones = (0, 1, 2, 3) if "exterior_zone" in ablate else allowed_zones(*schemes)
-            entry = triples[schemes] = pi_delta(schemes), zones
-        pd, zones = entry
-        stage = _stage_closures(ct, pd, ablate, jump_stage)
+        pd, zones = tables.triples[ct.schemes]
+        stage = _stage_closures(ct, pd, tables)
         branches, witness = (), None
         if not stage:
-            if tables is None:
-                tables = _SchemeTables(scheme, ablate)
-            per_nest = []
-            for i, nest in enumerate(ct.nests):
-                key = (nest, ct.jump is not None and i == 2)  # the jumped nest is third
-                if key not in branches_of:
-                    branches_of[key] = nest_branches(*key)
-                per_nest.append(branches_of[key])
-            branches, witness = _Search(ct, tables, pd, zones, per_nest).run()
+            branches, witness = _Search(ct, tables, pd, zones).run()
         outcome = "eliminated" if witness is None else "survives"
         traces.append(
             ProofTrace(str(ct), scheme_text, outcome, zones, stage, branches, witness)

@@ -133,11 +133,15 @@ class _Parser:
     def read_count(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a positive integer")
-        value = int(self.text[start : self.pos])
+        try:
+            value = int(self.text[start : self.pos])
+        except ValueError:  # more digits than int() converts
+            self.pos = start
+            raise self.error("count has too many digits") from None
         if value < 1:
             self.pos = start
             raise self.error("counts must be positive")

@@ -110,6 +110,17 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_deeply_nested_ledger_exit_2(self, tmp_path, capsys):
+        # json.load raises RecursionError, not a ValueError, on this file
+        path = tmp_path / "ledger.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["check", "<J + 1<2> + 1<2> + 1<20> + 1>", "--ledger", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: ledger {path}: ")
+
+    def test_count_with_too_many_digits_exit_2(self, capsys):
+        assert main(["check", f"<J + 1<2> + 1<2> + 1<{'9' * 5000}> + 1>"]) == 2
+        assert "position 21: count has too many digits" in capsys.readouterr().err
+
     def test_missing_ledger_exit_2(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         assert main(["check", "<J + 1<2> + 1<2> + 1<20> + 1>", "--ledger", str(path)]) == 2

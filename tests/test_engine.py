@@ -577,6 +577,16 @@ SCHEME_TRACES = [
         "416f655a62d3bb87ab9653a09b9522d967e3dbf790b96ee632eff6db6a9304e0",
         id="triangle-ablated",
     ),
+    pytest.param(
+        "<J + 1<2> + 1<2> + 1<20> + 1>", ("empty_triangles",), 184, 406,
+        "b4f29926aea5f44802a6938644e677fdbb0e2c95c4bb45b93a87a2f2ae2b4bbd",
+        id="empty-triangles-ablated",
+    ),
+    pytest.param(
+        "<J + 1<1> + 1<2> + 1<8> + 14>", ("lambda0_bound", "triangle_bound"), 282, 115,
+        "2bd2970869a95ee84c54c70318b45ed4033f8d5c28808a4f4060e6928efc11f1",
+        id="both-bounds-ablated",
+    ),
 ]
 
 
@@ -663,10 +673,10 @@ CONTEXT_CASES = [
 
 
 class TestSettle:
-    # prove_theorem1 settles a scheme's candidates in one _settle call, which
-    # shares the per-triple entries, the chain branches, the closures, the
-    # rule memos and the net sequences between them; eliminate settles one
-    # candidate alone.
+    # prove_theorem1 settles a scheme's candidates in one _settle call,
+    # against one _SchemeTables that holds the per-triple entries, the chain
+    # branches, the closures, the rule memos and the net sequences;
+    # eliminate settles one candidate alone.
     @pytest.mark.parametrize("scheme, ablate", CONTEXT_CASES)
     def test_scheme_run_equals_standalone_eliminate(self, scheme, ablate):
         real = parse_real_scheme(scheme)
@@ -681,20 +691,28 @@ class TestSettle:
     @pytest.mark.parametrize("ablate", [(), ("lemma10",)])
     def test_search_is_freed_without_the_cycle_collector(self, monkeypatch, ablate):
         # The scheme's shared tables hold the memos and the net sequences, and
-        # nothing in them or in a search refers back to the search, so each
-        # search is freed as soon as its trace is built.
-        searches = []
+        # nothing in them or in a search refers back to the tables or the
+        # search, so each search is freed as soon as its trace is built and
+        # the tables when the scheme is settled.
+        searches, tables = [], []
         run = engine._Search.run
+        build = engine._SchemeTables.__init__
 
         def tracked(search):
             searches.append(weakref.ref(search))
             return run(search)
 
+        def tracked_tables(self, *args):
+            tables.append(weakref.ref(self))
+            build(self, *args)
+
         monkeypatch.setattr(engine._Search, "run", tracked)
+        monkeypatch.setattr(engine._SchemeTables, "__init__", tracked_tables)
         gc.disable()
         try:
             prove_theorem1(ablate=ablate, schemes=[SCHEME_2_2_20])
             assert searches and all(ref() is None for ref in searches)
+            assert tables and all(ref() is None for ref in tables)
         finally:
             gc.enable()
 

@@ -56,6 +56,18 @@ class TestParse:
             parse_real_scheme("<J + 1<2> + 1<2> + 1<20> + 1")
         assert err.value.position == 28
 
+    @pytest.mark.parametrize(
+        "count, position, message",
+        [("9" * 5000, 21, "too many digits"), ("2\u00b2", 22, "expected '>'")],
+        ids=["5000-digits", "superscript-digit"],
+    )
+    def test_bad_count_is_syntax_error(self, count, position, message):
+        # int() converts at most 4300 digits, and str.isdigit() accepts
+        # digits int() does not read; neither may escape as a plain ValueError.
+        with pytest.raises(SchemeSyntaxError, match=message) as err:
+            parse_real_scheme(f"<J + 1<2> + 1<2> + 1<{count}> + 1>")
+        assert err.value.position == position
+
     def test_bad_total_strict(self):
         with pytest.raises(SchemeInvariantError):
             parse_real_scheme("<J + 1<1> + 1<1> + 1<1> + 1>")
