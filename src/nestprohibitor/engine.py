@@ -25,8 +25,10 @@ closure key, so every memo is built as for no ablation; only the rules
 that change the search space (exterior_zone's zones, lemma10's identities
 and budget, the ledger's `evaluate_all`) read the ablated ids.  The stage
 screen (jump trichotomy, then separating formula) runs first; only a
-candidate it leaves open gets a branch search, which holds only what
-varies per candidate.  Every branch that asks for the same (free zones,
+candidate it leaves open is searched, by one function (`_search`) that
+computes what varies per candidate, then loops over the chain branches,
+and inside each over the exterior nets, each value bound at the loop
+where it varies.  Every branch that asks for the same (free zones,
 budget, deficit) key replays one net sequence, built only as far as some
 branch reads it.  The lambda_0 and corner bounds are decided from value
 tables, value -> closure key.  This is exact because `_lambda0_violation`
@@ -456,8 +458,8 @@ class _SchemeTables:
     corner bounds are keyed by their value alone, but for |lambda_0| = 3
     and a corner value 3 (_REFINED), which read more of the net.  `nets`
     holds the net sequences, one per (free zones, budget, deficit).  No
-    memo refers to the tables or to a search, so neither needs the cycle
-    collector to be freed.
+    memo refers to the tables, so they need no cycle collector to be
+    freed.
     """
 
     def __init__(self, scheme: RealScheme, ablate: tuple[str, ...]):
@@ -506,106 +508,86 @@ def _stage_closures(curve_type: CurveType, pd: int, tables: _SchemeTables) -> tu
     return (tables.closure_of[key, 1],) if key else ()
 
 
-class _Search:
+def _search(
+    curve_type: CurveType, tables: _SchemeTables, pd: int, zones: tuple[int, ...]
+) -> tuple[tuple[BranchRecord, ...], Optional[OrientationLedger]]:
     """The branch search of one candidate that the stage screen leaves
-    open: every combination of its nests' chain branches (`per_nest`), each
-    explored by `explore_branch` against the scheme's shared `tables`.  It
-    holds only what varies per candidate: the nest signs, `spread`, its
-    empty-triangle closure and its jump tier.  `run()` returns the branch
-    records and the witness, or None.
+    open.  Returns the branch records and the witness, or None.
+
+    First the values that vary per candidate; then one loop over every
+    combination of its nests' chain branches, with the values that vary
+    per branch; inside it, one loop over the branch's exterior nets, in
+    `_free_assignments` order.  The first rule that fires closes a net, in
+    the order empty triangles, jump, lambda_0, the corners T1..T3, then the
+    oval budget of lemma10; a net none closes goes on to a ledger build,
+    and the first ledger every rule accepts is the witness and ends the
+    search.  Closures merge by evidence, not by the predicate inputs that
+    produced it: with `lemma10` ablated, nets of different deficits with
+    lambda_4 = 5 share one corner evidence, which records no deficit, and
+    count as one closure.  Closures are listed in the order of their first
+    net.
     """
+    jump = curve_type.jump
+    per_nest = [
+        tables.branches_of[nest, jump is not None and i == 2]  # the jumped nest is third
+        for i, nest in enumerate(curve_type.nests)
+    ]
+    # A net padded with one 0 gives (x0, x1, x2, x3) through `spread`.
+    spread = operator.itemgetter(
+        *(zones.index(z) if z in zones else len(zones) for z in range(4))
+    )
+    schemes = curve_type.schemes
+    n1, n2, n3 = (s.nu for s in schemes)
+    all_sep = all(ct.separating for ct in curve_type.nests)
+    beta = tables.beta
+    # The closures of every branch with no interior oval in a triangle,
+    # when no exterior oval can reach one either.
+    empty_key = tables.empty_of[schemes]
+    empty_closed = None
+    if empty_key and (not zones or beta == 0):
+        empty_closed = (tables.closure_of[empty_key, 1],)
+    jump_of = None
+    if jump is not None:
+        _, jump_of = tables.jumps[pd, schemes[2].nu, jump.crossing]
+    identities = tables.identities
+    lambda0_of = tables.lambda0_of
+    corner1, corner2, corner3 = tables.corners_of
+    closure_of = tables.closure_of.__getitem__
 
-    def __init__(
-        self, curve_type: CurveType, tables: _SchemeTables, pd: int, zones: tuple[int, ...]
-    ):
-        self.ct = curve_type
-        self.tables = tables
-        self.pd = pd
-        self.zones = zones
-        jump = curve_type.jump
-        self.per_nest = [
-            tables.branches_of[nest, jump is not None and i == 2]  # the jumped nest is third
-            for i, nest in enumerate(curve_type.nests)
-        ]
-        # A net padded with one 0 gives (x0, x1, x2, x3) through `spread`.
-        self.spread = operator.itemgetter(
-            *(zones.index(z) if z in zones else len(zones) for z in range(4))
-        )
-        schemes = curve_type.schemes
-        self.nest_signs = tuple(s.nu for s in schemes)
-        self.all_sep = all(ct.separating for ct in curve_type.nests)
-        # The closures of every branch with no interior oval in a triangle,
-        # when no exterior oval can reach one either.
-        self.empty_key = tables.empty_of[schemes]
-        self.empty_closed = None
-        if self.empty_key and (not zones or tables.beta == 0):
-            self.empty_closed = (tables.closure_of[self.empty_key, 1],)
-        self.jump_of = None
-        if jump is not None:
-            _, self.jump_of = tables.jumps[pd, schemes[2].nu, jump.crossing]
-
-    def _closures(self, tally: dict) -> tuple[Closure, ...]:
-        """The closures of a tally, one shared object per (key, count)."""
-        return tuple(map(self.tables.closure_of.__getitem__, tally.items()))
-
-    def explore_branch(
-        self, branches: tuple[NestBranch, ...]
-    ) -> tuple[tuple[Closure, ...], int, Optional[OrientationLedger]]:
-        """Close a branch or find a witness.  Returns (closures, checked, witness).
-
-        One loop over the branch's exterior nets, in `_free_assignments`
-        order.  The first rule that fires closes a net, in the order empty
-        triangles, jump, lambda_0, the corners T1..T3, then the oval budget
-        of lemma10; a net none closes goes on to a ledger build.  Closures
-        merge by evidence, not by the predicate inputs that produced it:
-        with `lemma10` ablated, nets of different deficits with lambda_4 = 5
-        share one corner evidence, which records no deficit, and count as
-        one closure.  Closures are listed in the order of their first net.
-        """
+    records = []
+    for branches in itertools.product(*per_nest):
         b1, b2, b3 = branches
-        pop_t0 = b1.pop_t0 + b2.pop_t0 + b3.pop_t0
-        no_pop = not (pop_t0 or b1.pop_t or b2.pop_t or b3.pop_t)
+        labels = (b1.label, b2.label, b3.label)
+        no_pop = not (b1.pop_t0 or b2.pop_t0 or b3.pop_t0 or b1.pop_t or b2.pop_t or b3.pop_t)
 
         # Triangles forced empty: the list rule applies before any solving.
-        if no_pop and self.empty_closed:
-            return self.empty_closed, 0, None
+        if no_pop and empty_closed:
+            records.append(BranchRecord(labels, empty_closed, 0))
+            continue
 
         sh0 = b1.lam0 + b2.lam0 + b3.lam0
         t4, t5, t6 = b1.lam_t, b2.lam_t, b3.lam_t
-        n1, n2, n3 = self.nest_signs
         e1, e2, e3 = b1.eps, b2.eps, b3.eps
-        eps = (n1, n2, n3, e1, e2, e3)
         eps_sum = n1 + n2 + n3 + e1 + e2 + e3
         # right-hand sides of the three quadrangle identities
         rhs1 = -(n3 + e3 + n2 + e2) // 2
         rhs2 = -(n3 + e3 + n1 + e1) // 2
         rhs3 = -(n2 + e2 + n1 + e1) // 2
-        # zone-indexed, entries 1..3 used; see _QUAD_ZONES
-        quad_net = (0, b2.w[0] + b3.w[0], b1.w[0] + b3.w[1], b1.w[1] + b2.w[1])
-        q1, q2, q3 = quad_net[1] == 0, quad_net[2] == 0, quad_net[3] == 0
-
-        tables = self.tables
-        beta = tables.beta
-        identities = tables.identities
-        deficit_rhs = None
-        if identities:
-            deficit_rhs = self.pd - 4 - (sh0 - t4 - t5 - t6)
-        empty_key = self.empty_key if no_pop else None
-        spread = self.spread
-        all_sep = self.all_sep
-        jump_of = self.jump_of
-        lambda0_of = tables.lambda0_of
-        corner1, corner2, corner3 = tables.corners_of
+        # the chains' nets into Q1..Q3; see _QUAD_ZONES
+        w1, w2, w3 = b2.w[0] + b3.w[0], b1.w[0] + b3.w[1], b1.w[1] + b2.w[1]
+        q1, q2, q3 = w1 == 0, w2 == 0, w3 == 0
+        deficit_rhs = pd - 4 - (sh0 - t4 - t5 - t6) if identities else None
+        branch_empty_key = empty_key if no_pop else None
         tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
         checked = 0
-        for net in _free_assignments(self.zones, beta, deficit_rhs, tables.nets):
+        for net in _free_assignments(zones, beta, deficit_rhs, tables.nets):
             checked += 1
             x0, x1, x2, x3 = spread(net + (0,))
             lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
 
             # Empty-triangle list rule on genuinely empty nets.
-            if empty_key and not (x0 or x1 or x2 or x3):
-                tally[empty_key] = tally.get(empty_key, 0) + 1
+            if branch_empty_key and not (x0 or x1 or x2 or x3):
+                tally[branch_empty_key] = tally.get(branch_empty_key, 0) + 1
                 continue
 
             # Jump trichotomy, numeric tier.
@@ -631,7 +613,7 @@ class _Search:
             # Corner-triangle bounds, T1..T3; a value 3 also reads the deficit.
             key = corner1[lam4] or corner2[lam5] or corner3[lam6]
             if key is _REFINED:
-                key = self._refined_corner((lam4, lam5, lam6), deficit)
+                key = _refined_corner(tables, (lam4, lam5, lam6), deficit)
             if key:
                 tally[key] = tally.get(key, 0) + 1
                 continue
@@ -642,127 +624,119 @@ class _Search:
             # sum(alpha) + beta = 25 (checked in _settle).  So the budget test
             # is the bound alone.
             p1, p2, p3 = rhs1 - lam0 + lam4, rhs2 - lam0 + lam5, rhs3 - lam0 + lam6
-            required = (abs(x0) + abs(x1) + abs(x2) + abs(x3) + abs(p1 - quad_net[1])
-                        + abs(p2 - quad_net[2]) + abs(p3 - quad_net[3]))
+            required = (abs(x0) + abs(x1) + abs(x2) + abs(x3)
+                        + abs(p1 - w1) + abs(p2 - w2) + abs(p3 - w3))
             if required > beta and identities:
                 key = tables.over_budget[required, lam0, p1, p2, p3, lam4, lam5, lam6]
                 tally[key] = tally.get(key, 0) + 1
                 continue
 
-            witness = self._feasible_ledger(
-                branches, eps, (x0, x1, x2, x3), lam0, (lam4, lam5, lam6),
-                (p1, p2, p3) if required <= beta else None, quad_net, pop_t0,
-                (b1.pop_t, b2.pop_t, b3.pop_t), tally,
+            witness = _feasible_ledger(
+                curve_type, tables, pd, branches, (x0, x1, x2, x3), lam0,
+                (lam4, lam5, lam6), (p1, p2, p3) if required <= beta else None, tally,
             )
             if witness is not None:
-                return self._closures(tally), checked, witness
+                closures = tuple(map(closure_of, tally.items()))
+                return (BranchRecord(labels, closures, checked),), witness
         if not checked:
             # only possible with no free zone at all: the deficit identity
             # fails on the forced values
             key = tables.key_of(
-                "lemma10", _deficit_identity_violation(self.pd - 4, sh0 - t4 - t5 - t6)
+                "lemma10", _deficit_identity_violation(pd - 4, sh0 - t4 - t5 - t6)
             )
             tally[key] = tally.get(key, 0) + 1
-        return self._closures(tally), checked, None
+        records.append(BranchRecord(labels, tuple(map(closure_of, tally.items())), checked))
+    return tuple(records), None
 
-    def _refined_corner(self, values: tuple[int, int, int], deficit: int) -> Optional[tuple]:
-        """The first corner closure of a net with a corner value 3."""
-        tables = self.tables
-        for zone, value in enumerate(values, 1):
-            key = tables.corners_of[zone - 1][value]
-            if key is _REFINED:
-                key = tables.corner_refined[value, deficit, zone]
-            if key:
-                return key
-        return None
 
-    def _feasible_ledger(
-        self, branches, eps, xs, lam0, lam456, pinned, quad_net, pop_t0, pops_t, tally
-    ) -> Optional[OrientationLedger]:
-        """The ledger of a net the bounds leave open, or None when a rule
-        closes it.  `pinned` is the identities' quadrangle values, or None
-        when they need more ovals than beta (only with lemma10 ablated)."""
-        beta = self.tables.beta
-        ext_used = sum(abs(v) for v in xs)
-        if pinned is not None:
-            # the identities' solution, the preferred witness shape even
-            # when they are ablated (keeps ablation monotone)
-            lam123 = pinned
-            y = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
-        else:
-            # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1;
-            # with no deficit identity every net keeps within beta
-            y = [(beta - ext_used) % 2, 0, 0]
-            lam123 = tuple(quad_net[q] + y[q - 1] for q in (1, 2, 3))
+def _refined_corner(
+    tables: _SchemeTables, values: tuple[int, int, int], deficit: int
+) -> Optional[tuple]:
+    """The first corner closure of a net with a corner value 3."""
+    for zone, value in enumerate(values, 1):
+        key = tables.corners_of[zone - 1][value]
+        if key is _REFINED:
+            key = tables.corner_refined[value, deficit, zone]
+        if key:
+            return key
+    return None
 
-        lam = (lam0, *lam123, *lam456)
-        leftover = beta - ext_used - sum(abs(v) for v in y)
-        pops = [0] * 7
-        pops[0] = abs(xs[0]) + pop_t0
-        for i in range(3):
-            pops[4 + i] = abs(xs[i + 1]) + pops_t[i]
-        quad_int = [0, 0, 0, 0]
-        for i, b in enumerate(branches):
-            zj, zk = _QUAD_ZONES[i]
-            remaining = (
-                self.ct.nests[i].scheme.alpha - 1 - b.pop_t0 - b.pop_t
-            )
-            quad_int[zj] += abs(b.w[0]) + (remaining - abs(b.w[0]) - abs(b.w[1]))
-            quad_int[zk] += abs(b.w[1])
-        for q in (1, 2, 3):
-            pops[q] = abs(y[q - 1]) + quad_int[q]
-        pops[1] += leftover
 
-        eps6 = tuple(eps)
-        lambda_delta = sum(lam) + sum(eps6)
-        if (OVALS + lambda_delta) % 2:
-            raise EngineError("parity failure in the ledger build")
-        pairs = total_pairs(self.tables.scheme)
-        ledger = OrientationLedger(
-            lam=lam,
-            eps=eps6,
-            lambda_plus=(OVALS + lambda_delta) // 2,
-            lambda_minus=(OVALS - lambda_delta) // 2,
-            pi_plus=(pairs + self.pd) // 2,
-            pi_minus=(pairs - self.pd) // 2,
-            zone_pop=tuple(pops),
-        )
-        ledger.validate(total_pairs=pairs)
+def _feasible_ledger(
+    curve_type, tables, pd, branches, xs, lam0, lam456, pinned, tally
+) -> Optional[OrientationLedger]:
+    """The ledger of a branch's exterior net `xs` that the bounds leave
+    open, or None when a rule closes it, counted in `tally`.  `pinned` is
+    the identities' quadrangle values, or None when they need more ovals
+    than beta (only with lemma10 ablated)."""
+    beta = tables.beta
+    ext_pops = tuple(map(abs, xs))
+    ext_used = sum(ext_pops)
+    pops = [ext_pops[0], 0, 0, 0, *ext_pops[1:]]
+    quad_net = [0, 0, 0, 0]  # zone-indexed, entries 1..3 used
+    quad_int = [0, 0, 0, 0]
+    for i, (b, ct) in enumerate(zip(branches, curve_type.nests)):
+        zj, zk = _QUAD_ZONES[i]
+        pops[0] += b.pop_t0
+        pops[4 + i] += b.pop_t
+        quad_net[zj] += b.w[0]
+        quad_net[zk] += b.w[1]
+        quad_int[zj] += ct.scheme.alpha - 1 - b.pop_t0 - b.pop_t - abs(b.w[1])
+        quad_int[zk] += abs(b.w[1])
+    if pinned is not None:
+        # the identities' solution, the preferred witness shape even
+        # when they are ablated (keeps ablation monotone)
+        lam123 = pinned
+        y = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
+    else:
+        # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1;
+        # with no deficit identity every net keeps within beta
+        y = [(beta - ext_used) % 2, 0, 0]
+        lam123 = tuple(quad_net[q] + y[q - 1] for q in (1, 2, 3))
+    for q in (1, 2, 3):
+        pops[q] = abs(y[q - 1]) + quad_int[q]
+    pops[1] += beta - ext_used - sum(abs(v) for v in y)  # the leftover ovals
 
-        candidate = Candidate(
-            curve_type=self.ct,
-            ledger=ledger,
-            t0_only_exterior=True,
-            t_only_exterior=(True, True, True),
-            triangles_empty=all(p == 0 for p in (pops[0], pops[4], pops[5], pops[6])),
-            exterior_triangle_pops=tuple(abs(x) for x in xs),
-        )
-        verdicts = evaluate_all(candidate, ablate=self.tables.ablate)
-        for rule_id, verdict in verdicts.items():
-            if verdict.status == VIOLATED:
-                key = self.tables.key_of(rule_id, verdict.evidence)
-                tally[key] = tally.get(key, 0) + 1
-                return None
-        return ledger
+    lam = (lam0, *lam123, *lam456)
+    eps = (*(s.nu for s in curve_type.schemes), *(b.eps for b in branches))
+    lambda_delta = sum(lam) + sum(eps)
+    if (OVALS + lambda_delta) % 2:
+        raise EngineError("parity failure in the ledger build")
+    pairs = total_pairs(tables.scheme)
+    ledger = OrientationLedger(
+        lam=lam,
+        eps=eps,
+        lambda_plus=(OVALS + lambda_delta) // 2,
+        lambda_minus=(OVALS - lambda_delta) // 2,
+        pi_plus=(pairs + pd) // 2,
+        pi_minus=(pairs - pd) // 2,
+        zone_pop=tuple(pops),
+    )
+    ledger.validate(total_pairs=pairs)
 
-    def run(self) -> tuple[tuple[BranchRecord, ...], Optional[OrientationLedger]]:
-        records = []
-        for combo in itertools.product(*self.per_nest):
-            closures, checked, witness = self.explore_branch(combo)
-            b1, b2, b3 = combo
-            record = BranchRecord((b1.label, b2.label, b3.label), closures, checked)
-            if witness is not None:
-                return (record,), witness
-            records.append(record)
-        return tuple(records), None
+    candidate = Candidate(
+        curve_type=curve_type,
+        ledger=ledger,
+        t0_only_exterior=True,
+        t_only_exterior=(True, True, True),
+        triangles_empty=all(p == 0 for p in (pops[0], pops[4], pops[5], pops[6])),
+        exterior_triangle_pops=ext_pops,
+    )
+    verdicts = evaluate_all(candidate, ablate=tables.ablate)
+    for rule_id, verdict in verdicts.items():
+        if verdict.status == VIOLATED:
+            key = tables.key_of(rule_id, verdict.evidence)
+            tally[key] = tally.get(key, 0) + 1
+            return None
+    return ledger
 
 
 def _settle(
     scheme: RealScheme, candidates: list[CurveType], ablate: tuple[str, ...]
 ) -> tuple[ProofTrace, ...]:
-    """The trace of each candidate of one scheme: the stage screen, then the
-    branch search of each candidate the screen leaves open, all against
-    one `_SchemeTables`.
+    """The trace of each candidate of one scheme: the stage screen, then
+    `_search` of each candidate the screen leaves open, all against one
+    `_SchemeTables`.
     """
     if sum(scheme.alpha) + scheme.beta != EMPTY_OVALS:
         raise EngineError(f"the scheme does not have {EMPTY_OVALS} empty ovals")
@@ -775,7 +749,7 @@ def _settle(
         stage = _stage_closures(ct, pd, tables)
         branches, witness = (), None
         if not stage:
-            branches, witness = _Search(ct, tables, pd, zones).run()
+            branches, witness = _search(ct, tables, pd, zones)
         outcome = "eliminated" if witness is None else "survives"
         traces.append(
             ProofTrace(str(ct), scheme_text, outcome, zones, stage, branches, witness)

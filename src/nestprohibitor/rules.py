@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .ledger import OrientationLedger, lambda_deficit, lemma10_residuals, rm_residual
-from .orevkov import allowed_zones, e_values, f_value, g_value
+from .orevkov import e_values, f_value, g_value
 from .schemes import (
     EMPTY_OVALS,
     MINUS,
@@ -239,12 +239,10 @@ def _exterior_zone_violation(zone: int, e_value: int, population: int) -> Option
 def rule_exterior_zone(c: Candidate) -> RuleVerdict:
     if c.curve_type is None:
         return RuleVerdict("exterior_zone", INAPPLICABLE)
-    schemes = c.curve_type.schemes
-    zones = allowed_zones(*schemes)
-    info = {"allowed": list(zones)}
+    e = e_values(*c.curve_type.schemes)
+    info = {"allowed": [z for z in range(4) if e[z] == 0]}
     if c.exterior_triangle_pops is None:
         return RuleVerdict("exterior_zone", INAPPLICABLE, info=info)
-    e = e_values(*schemes)
     for z, pop in enumerate(c.exterior_triangle_pops):
         violation = _exterior_zone_violation(z, e[z], pop)
         if violation:

@@ -98,13 +98,13 @@ def format_real_scheme(scheme: RealScheme) -> str:
 
 
 class _Parser:
-    """Recursive-descent reader for the ASCII bracket notation.
+    """Reader for the ASCII bracket notation.
 
     Grammar:  scheme := "<" "J" ("+" item)* ">"
-              item   := count | "1" "<" inner ">"
-              inner  := count ("+" count)* | item ("+" item)*
+              item   := count | "1" "<" count ("+" count)* ">"
     Counts are positive integers; whitespace is free between tokens.
-    Nesting deeper than two levels parses but is rejected afterwards.
+    A nest inside a nest is rejected at its "<": the reader does not
+    recurse, so no depth of input exhausts the stack.
     """
 
     def __init__(self, text: str):
@@ -148,19 +148,21 @@ class _Parser:
         return value
 
     def read_item(self):
-        # Returns either an int (bare empty-oval count) or ("nest", contents).
+        # Returns either an int (bare empty-oval count) or a nest's counts.
         count = self.read_count()
-        if self.peek() == "<":
-            if count != 1:
-                raise self.error("only a single oval may enclose others")
+        if self.peek() != "<":
+            return count
+        if count != 1:
+            raise self.error("only a single oval may enclose others")
+        self.pos += 1
+        contents = [self.read_count()]
+        while self.peek() == "+":
             self.pos += 1
-            contents = [self.read_item()]
-            while self.peek() == "+":
-                self.pos += 1
-                contents.append(self.read_item())
-            self.expect(">")
-            return ("nest", contents)
-        return count
+            contents.append(self.read_count())
+        if self.peek() == "<":  # a count followed by "<" opens a third level
+            raise SchemeArityError("nests of depth greater than two are not supported")
+        self.expect(">")
+        return contents
 
     def parse(self):
         self.expect("<")
@@ -190,11 +192,8 @@ def parse_real_scheme(text: str, strict: bool = True) -> RealScheme:
     for item in items:
         if isinstance(item, int):
             beta += item
-            continue
-        _, contents = item
-        if any(not isinstance(c, int) for c in contents):
-            raise SchemeArityError("nests of depth greater than two are not supported")
-        alphas.append(sum(contents))
+        else:
+            alphas.append(sum(item))
     if len(alphas) != 3:
         raise SchemeArityError(f"expected exactly three nests, found {len(alphas)}")
     total = sum(alphas) + beta
@@ -468,9 +467,6 @@ class CurveType:
         """The nest schemes, built once: the search and the rules read them
         for every candidate."""
         return tuple(ct.scheme for ct in self.nests)
-
-    def alphas(self) -> tuple[int, int, int]:
-        return tuple(ct.scheme.alpha for ct in self.nests)
 
     def __str__(self) -> str:
         return self._text

