@@ -13,8 +13,8 @@ deterministically.
 
 Each value is computed once at the level where it varies, and no shortcut
 changes a trace.  The enumerator takes its separating-filter terms once
-per nest complex type, and builds its candidates from valid parts without
-re-running `CurveType`'s check.  One function settles a list of one
+per nest complex type, and builds each candidate with `CurveType`'s one
+checked constructor.  One function settles a list of one
 scheme's candidates: `prove_theorem1` passes all of them, `eliminate`
 passes one.  It checks the scheme and the ablated rule ids once, and
 settles every candidate against one table object (`_SchemeTables`) of
@@ -189,7 +189,7 @@ def no_jump_candidates(scheme: RealScheme) -> list[CurveType]:
     out = []
     for (c1, t1), (c2, t2), (c3, t3) in itertools.product(*options):
         if _structural_fit((t1, t2, t3)):
-            out.append(CurveType._from_valid_parts((c1, c2, c3)))
+            out.append(CurveType((c1, c2, c3)))
     return sorted(out, key=str)
 
 
@@ -224,7 +224,7 @@ def jump_candidates(scheme: RealScheme) -> list[CurveType]:
             jump = _jump_repartition(a_jump, js.diff)
             for (c1, t1), (c2, t2) in itertools.product(*companion_options):
                 if _structural_fit((t1, t2, t3)):
-                    candidate = CurveType._from_valid_parts((c1, c2, jumped_ct), jump)
+                    candidate = CurveType((c1, c2, jumped_ct), jump)
                     seen.setdefault(str(candidate), candidate)
     return [seen[k] for k in sorted(seen)]
 

@@ -17,10 +17,16 @@ from .schemes import DEGREE, OVALS
 
 ZONES = ("T0", "Q1", "Q2", "Q3", "T1", "T2", "T3")
 
-# The fields of a ledger's JSON object, each with the type of its value.
+# The fields of a ledger's JSON object, in JSON order, each with the
+# ledger attribute it holds and the type of its value.
 _FIELDS = {
-    "lambda": list, "epsilon": list, "LambdaPlus": int, "LambdaMinus": int,
-    "PiPlus": int, "PiMinus": int, "zonePop": list,
+    "lambda": ("lam", list),
+    "epsilon": ("eps", list),
+    "LambdaPlus": ("lambda_plus", int),
+    "LambdaMinus": ("lambda_minus", int),
+    "PiPlus": ("pi_plus", int),
+    "PiMinus": ("pi_minus", int),
+    "zonePop": ("zone_pop", list),
 }
 
 
@@ -80,13 +86,8 @@ class OrientationLedger:
 
     def to_json_dict(self) -> dict:
         return {
-            "lambda": list(self.lam),
-            "epsilon": list(self.eps),
-            "LambdaPlus": self.lambda_plus,
-            "LambdaMinus": self.lambda_minus,
-            "PiPlus": self.pi_plus,
-            "PiMinus": self.pi_minus,
-            "zonePop": list(self.zone_pop),
+            name: list(getattr(self, attr)) if kind is list else getattr(self, attr)
+            for name, (attr, kind) in _FIELDS.items()
         }
 
     @classmethod
@@ -101,20 +102,15 @@ class OrientationLedger:
         for name, value in data.items():
             if name not in _FIELDS:
                 raise LedgerError(f"unknown field {name!r}")
-            if _FIELDS[name] is list:
+            if _FIELDS[name][1] is list:
                 if type(value) is not list or any(type(v) is not int for v in value):
                     raise LedgerError(f"field {name!r} must be a list of integers")
             elif type(value) is not int:
                 raise LedgerError(f"field {name!r} must be an integer")
-        return cls(
-            lam=tuple(data["lambda"]),
-            eps=tuple(data["epsilon"]),
-            lambda_plus=data["LambdaPlus"],
-            lambda_minus=data["LambdaMinus"],
-            pi_plus=data["PiPlus"],
-            pi_minus=data["PiMinus"],
-            zone_pop=tuple(data["zonePop"]),
-        )
+        return cls(**{
+            attr: tuple(data[name]) if kind is list else data[name]
+            for name, (attr, kind) in _FIELDS.items()
+        })
 
 
 def rokhlin_mishachev_rhs(m: int = DEGREE) -> int:

@@ -33,6 +33,7 @@ from .schemes import (
     PLUS,
     CurveType,
     NestScheme,
+    _parse_short_scheme,
     pi_delta,
 )
 
@@ -443,17 +444,6 @@ def evaluate_all(candidate: Candidate, ablate: tuple[str, ...] = ()) -> dict[str
 
 # ---------------------------------------------------------------------------
 # Evidence replay (soundness hook for proof traces)
-
-
-def _parse_short_scheme(text: str) -> NestScheme:
-    """Rebuild a nest scheme (minimal interior counts) from its short form."""
-    parts = text.strip("()").replace(" ", "").split(",")
-    nu = PLUS if parts[0] == "+" else MINUS
-    diff = 0
-    if len(parts) > 1:
-        diff = (1 if parts[1] == "+" else -1) * (len(parts) - 1)
-    a_plus = max(diff, 0) + (1 if diff == 0 else 0)
-    return NestScheme(nu, a_plus, a_plus - diff)
 
 
 def _rederive(rule_id: str, e: dict) -> Optional[dict]:

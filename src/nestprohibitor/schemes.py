@@ -13,8 +13,7 @@ Everything is an immutable value; all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 DEGREE = 9
@@ -50,6 +49,11 @@ def _sign_str(sign: int) -> str:
     return "+" if sign > 0 else "-"
 
 
+def _ints(*values) -> bool:
+    """True when every value is an int by type: not a bool, nor a float."""
+    return all(type(v) is int for v in values)
+
+
 # ---------------------------------------------------------------------------
 # Real schemes
 
@@ -64,6 +68,8 @@ class RealScheme:
     def __post_init__(self):
         if len(self.alpha) != 3:
             raise SchemeArityError("exactly three nests are required")
+        if not _ints(*self.alpha, self.beta):
+            raise SchemeInvariantError("alpha and beta must be ints")
         if any(a < 1 for a in self.alpha):
             raise SchemeInvariantError("every nest must contain at least one empty oval")
         if self.beta < 0:
@@ -244,6 +250,8 @@ class NestScheme:
     a_minus: int
 
     def __post_init__(self):
+        if not _ints(self.nu, self.a_plus, self.a_minus):
+            raise SchemeInvariantError("nu, a_plus and a_minus must be ints")
         if self.nu not in (PLUS, MINUS):
             raise SchemeInvariantError("nu must be +1 or -1")
         if self.a_plus < 0 or self.a_minus < 0:
@@ -277,13 +285,24 @@ class NestScheme:
         return tuple(signs)
 
     def __str__(self) -> str:
-        nu = _sign_str(self.nu)
-        if self.diff == 0:
-            return nu
-        mu = _sign_str(self.mu)
-        if abs(self.diff) == 1:
-            return f"({nu}, {mu})"
-        return f"({nu}, {mu}, {mu})"
+        signs = _signs(self)
+        return signs[0] if len(signs) == 1 else f"({', '.join(signs)})"
+
+
+def _signs(scheme: NestScheme) -> list[str]:
+    """The short form's signs: nu, then the imbalance sign |diff| times."""
+    return [_sign_str(scheme.nu)] + [_sign_str(scheme.diff)] * abs(scheme.diff)
+
+
+def _parse_short_scheme(text: str) -> NestScheme:
+    """Rebuild a nest scheme (minimal interior counts) from its short form."""
+    parts = text.strip("()").replace(" ", "").split(",")
+    nu = PLUS if parts[0] == "+" else MINUS
+    diff = 0
+    if len(parts) > 1:
+        diff = (1 if parts[1] == "+" else -1) * (len(parts) - 1)
+    a_plus = max(diff, 0) + (1 if diff == 0 else 0)
+    return NestScheme(nu, a_plus, a_plus - diff)
 
 
 def enumerate_nest_schemes(alpha: int, jump_allowed: bool) -> list[NestScheme]:
@@ -301,10 +320,7 @@ def enumerate_nest_schemes(alpha: int, jump_allowed: bool) -> list[NestScheme]:
             if (alpha - diff) % 2:
                 continue
             a_plus = (alpha + diff) // 2
-            a_minus = alpha - a_plus
-            if a_plus < 0 or a_minus < 0:
-                continue
-            out.append(NestScheme(nu, a_plus, a_minus))
+            out.append(NestScheme(nu, a_plus, alpha - a_plus))
     return out
 
 
@@ -327,6 +343,8 @@ class ComplexType:
 
     scheme: NestScheme
     tag: str
+    # the text of `__str__`, set once, after the check
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag not in TAGS:
@@ -341,6 +359,7 @@ class ComplexType:
                 raise SchemeInvariantError("tag s requires an odd nest")
             if abs(self.scheme.diff) != 1:
                 raise SchemeInvariantError("a separating odd nest has imbalance 1")
+        object.__setattr__(self, "_text", f"({', '.join(_signs(self.scheme) + [self.tag])})")
 
     @property
     def separating(self) -> bool:
@@ -357,18 +376,6 @@ class ComplexType:
 
     def __str__(self) -> str:
         return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        """The text of `__str__`, built once: a nest type recurs in the text
-        of many candidates."""
-        nu = _sign_str(self.scheme.nu)
-        if self.scheme.diff == 0:
-            return f"({nu}, {self.tag})"
-        mu = _sign_str(self.scheme.mu)
-        if abs(self.scheme.diff) == 1:
-            return f"({nu}, {mu}, {self.tag})"
-        return f"({nu}, {mu}, {mu}, {self.tag})"
 
 
 def nest_complex_types(alpha: int, jump_allowed: bool = False) -> list[ComplexType]:
@@ -405,8 +412,11 @@ class Jump:
     crossing: Optional[bool] = None
 
     def __post_init__(self):
-        if len(self.repartition) != 3 or any(l < 1 for l in self.repartition):
-            raise SchemeInvariantError("repartition sizes must be positive")
+        r = self.repartition
+        if len(r) != 3 or not _ints(*r) or min(r) < 1:
+            raise SchemeInvariantError("repartition sizes must be three positive ints")
+        if not any(self.crossing is v for v in (None, True, False)):  # by identity: 0 == False
+            raise SchemeInvariantError(f"crossing {self.crossing!r} is not None, True or False")
 
     @property
     def all_odd(self) -> bool:
@@ -415,71 +425,47 @@ class Jump:
 
 @dataclass(frozen=True)
 class CurveType:
-    """Complex type of the whole curve: three nest types plus optional jump."""
+    """Complex type of the whole curve: three nest types plus optional jump.
+
+    The search and the rules read the nest schemes of every candidate; the
+    enumerator sorts and deduplicates candidates by text, and each trace
+    records it.  So the constructor sets both once, after its check."""
 
     nests: tuple[ComplexType, ComplexType, ComplexType]
     jump: Optional[Jump] = None
+    schemes: tuple[NestScheme, ...] = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.nests) != 3:
             raise SchemeArityError("a curve type lists exactly three nests")
-        for i, ct in enumerate(self.nests):
-            jumped = self.jump is not None and i == 2
-            if jumped and ct.tag != "n":
+        schemes = tuple(ct.scheme for ct in self.nests)
+        jump, jumped = self.jump, schemes[2]
+        two = abs(jumped.diff) == 2
+        if abs(schemes[0].diff) == 2 or abs(schemes[1].diff) == 2 or (two and jump is None):
+            raise SchemeInvariantError("imbalance 2 requires the jump to sit in that nest")
+        if jump is not None:
+            odd = jump.all_odd
+            if self.nests[2].tag != "n":
                 raise SchemeInvariantError("a jumped nest is non-separating")
-            if abs(ct.scheme.diff) == 2:
-                if not jumped:
-                    raise SchemeInvariantError(
-                        "imbalance 2 requires the jump to sit in that nest"
-                    )
-                if not self.jump.all_odd:
-                    raise SchemeInvariantError(
-                        "imbalance 2 requires an all-odd repartition"
-                    )
-        if self.jump is not None:
-            jumped = self.nests[2]
-            l1, _, l3 = self.jump.repartition
-            if l1 + l3 != jumped.scheme.alpha:
+            if two and not odd:
+                raise SchemeInvariantError("imbalance 2 requires an all-odd repartition")
+            l1, _, l3 = jump.repartition
+            if l1 + l3 != jumped.alpha:
                 raise SchemeInvariantError(
                     "interior repartition groups must exhaust the jumped nest"
                 )
-            if self.jump.all_odd and abs(jumped.scheme.diff) != 2:
-                raise SchemeInvariantError(
-                    "an all-odd repartition forces interior imbalance 2"
-                )
-
-    @classmethod
-    def _from_valid_parts(
-        cls, nests: tuple[ComplexType, ComplexType, ComplexType], jump: Optional[Jump] = None
-    ) -> "CurveType":
-        """A curve type built without the check of `__post_init__`, for the
-        candidate enumerator alone: its unjumped nests have imbalance at
-        most 1, its jumped nest is non-separating, and the repartition it
-        gives a jump exhausts that nest and is all odd exactly at imbalance
-        2, so the check would pass."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "nests", nests)
-        object.__setattr__(self, "jump", jump)
-        return self
-
-    @cached_property
-    def schemes(self) -> tuple[NestScheme, NestScheme, NestScheme]:
-        """The nest schemes, built once: the search and the rules read them
-        for every candidate."""
-        return tuple(ct.scheme for ct in self.nests)
+            if odd and not two:
+                raise SchemeInvariantError("an all-odd repartition forces interior imbalance 2")
+        object.__setattr__(self, "schemes", schemes)
+        body = ", ".join(ct._text for ct in self.nests)
+        if jump is not None:
+            cross = {None: "?", True: "crossing", False: "non-crossing"}[jump.crossing]
+            body = f"{body} | jump {jump.repartition} {cross}"
+        object.__setattr__(self, "_text", f"[{body}]")
 
     def __str__(self) -> str:
         return self._text
-
-    @cached_property
-    def _text(self) -> str:
-        """The text of `__str__`, built once: the enumerator sorts and
-        deduplicates candidates by it, and every trace records it."""
-        body = ", ".join(str(ct) for ct in self.nests)
-        if self.jump is None:
-            return f"[{body}]"
-        cross = {None: "?", True: "crossing", False: "non-crossing"}[self.jump.crossing]
-        return f"[{body} | jump {self.jump.repartition} {cross}]"
 
 
 def pi_delta(schemes) -> int:

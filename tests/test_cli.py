@@ -97,10 +97,18 @@ class TestCheck:
                 "field 'epsilon' must be a list of integers",
             ),
             (json.dumps({**LEDGER, "extra": 0}), "unknown field 'extra'"),
+            (
+                json.dumps({**LEDGER, "lambda": 5}),
+                "field 'lambda' must be a list of integers",
+            ),
+            (
+                json.dumps({**LEDGER, "LambdaPlus": [14]}),
+                "field 'LambdaPlus' must be an integer",
+            ),
         ],
         ids=[
             "missing-field", "malformed-json", "invalid-ledger", "float-lambda",
-            "bool-epsilon", "extra-key",
+            "bool-epsilon", "extra-key", "int-lambda", "list-LambdaPlus",
         ],
     )
     def test_bad_ledger_exit_2(self, tmp_path, capsys, content, message):

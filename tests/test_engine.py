@@ -203,8 +203,8 @@ class TestCandidateEnumeration:
             assert candidates(scheme) == expected, scheme
 
     def test_enumerated_candidates_pass_the_public_check(self):
-        # the enumerator builds its candidates without CurveType's check;
-        # the public constructor runs it and accepts every one unchanged
+        # the enumerator builds each candidate with the public constructor,
+        # so its check ran; rebuilding a candidate gives it back unchanged
         schemes = enumerate_three_nest_schemes(lambda s: s.all_even)
         schemes += enumerate_three_nest_schemes()[::9]
         for scheme in schemes:

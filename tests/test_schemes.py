@@ -1,5 +1,7 @@
 """Scheme model: parser, formatter, enumerators and their invariants."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,7 @@ from nestprohibitor.schemes import (
     SchemeArityError,
     SchemeInvariantError,
     SchemeSyntaxError,
+    _parse_short_scheme,
     enumerate_nest_schemes,
     enumerate_three_nest_schemes,
     format_real_scheme,
@@ -213,6 +216,92 @@ class TestNestSchemes:
         assert str(NestScheme(MINUS, 2, 2)) == "-"
         assert str(NestScheme(PLUS, 0, 1)) == "(+, -)"
         assert str(NestScheme(MINUS, 2, 0)) == "(-, +, +)"
+
+    @pytest.mark.parametrize("alpha", range(1, 7))
+    def test_short_form_parses_back(self, alpha):
+        for s in enumerate_nest_schemes(alpha, jump_allowed=True):
+            assert str(_parse_short_scheme(str(s))) == str(s)
+
+
+def _jumped_curve_type() -> CurveType:
+    return CurveType(
+        (
+            ComplexType(NestScheme(PLUS, 1, 1), "d"),
+            ComplexType(NestScheme(MINUS, 0, 1), "s"),
+            ComplexType(NestScheme(PLUS, 0, 2), "n"),
+        ),
+        Jump((1, 1, 1)),
+    )
+
+
+class TestConstructorChecks:
+    # A check by value alone takes each of these, as 1 == True and 2.0 == 2,
+    # and the value then prints or replays wrongly: the jump trichotomy
+    # reads a crossing of 0 as "not False", and replay rejects it.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RealScheme((2.0, 2, 20), 1),
+            lambda: RealScheme((2, 2, 20), True),
+            lambda: NestScheme(True, 1, 1),
+            lambda: NestScheme(PLUS, 1.0, 1),
+            lambda: NestScheme(PLUS, 1, True),
+            lambda: Jump((1, 1.0, 1)),
+            lambda: Jump((1, 1, 1), crossing=0),
+            lambda: Jump((1, 1, 1), crossing=1),
+            lambda: Jump((1, 1, 1), crossing="x"),
+        ],
+        ids=[
+            "alpha-float", "beta-bool", "nu-bool", "a_plus-float", "a_minus-bool",
+            "repartition-float", "crossing-zero", "crossing-one", "crossing-string",
+        ],
+    )
+    def test_loose_value_rejected(self, build):
+        with pytest.raises(SchemeInvariantError):
+            build()
+
+    @pytest.mark.parametrize("crossing", [None, True, False])
+    def test_crossing_values_accepted(self, crossing):
+        assert Jump((1, 2, 1), crossing=crossing).crossing is crossing
+
+
+class TestDerivedFields:
+    def test_repr_lists_the_given_fields_only(self):
+        ct = ComplexType(NestScheme(PLUS, 1, 1), "d")
+        assert repr(ct) == "ComplexType(scheme=NestScheme(nu=1, a_plus=1, a_minus=1), tag='d')"
+        assert repr(_jumped_curve_type()) == (
+            "CurveType(nests=(ComplexType(scheme=NestScheme(nu=1, a_plus=1, a_minus=1), "
+            "tag='d'), ComplexType(scheme=NestScheme(nu=-1, a_plus=0, a_minus=1), tag='s'), "
+            "ComplexType(scheme=NestScheme(nu=1, a_plus=0, a_minus=2), tag='n')), "
+            "jump=Jump(repartition=(1, 1, 1), crossing=None))"
+        )
+
+    def test_text_and_schemes(self):
+        c = _jumped_curve_type()
+        assert str(c) == "[(+, d), (-, -, s), (+, -, -, n) | jump (1, 1, 1) ?]"
+        assert c.schemes == tuple(ct.scheme for ct in c.nests)
+        assert c.schemes[2] == NestScheme(PLUS, 0, 2)
+
+    def test_equality_hash_and_order_ignore_derived_fields(self):
+        a, b = ComplexType(NestScheme(PLUS, 1, 0), "s"), ComplexType(NestScheme(PLUS, 1, 0), "s")
+        object.__setattr__(b, "_text", "(-, z)")
+        assert a == b and hash(a) == hash(b) and not a < b and not b < a
+        assert sorted([b, a])[0] is b  # "(-, z)" > "(+, s)" as text
+        c, d = _jumped_curve_type(), _jumped_curve_type()
+        object.__setattr__(d, "_text", "[]")
+        object.__setattr__(d, "schemes", ())
+        assert c == d and hash(c) == hash(d)
+
+    def test_replace_rebuilds_the_derived_fields(self):
+        c = _jumped_curve_type()
+        crossing = dataclasses.replace(c, jump=Jump((1, 1, 1), crossing=True))
+        assert str(crossing) == "[(+, d), (-, -, s), (+, -, -, n) | jump (1, 1, 1) crossing]"
+        nests = (ComplexType(NestScheme(MINUS, 1, 1), "u"), *c.nests[1:])
+        moved = dataclasses.replace(c, nests=nests)
+        assert str(moved) == "[(-, u), (-, -, s), (+, -, -, n) | jump (1, 1, 1) ?]"
+        assert moved.schemes == (NestScheme(MINUS, 1, 1), *c.schemes[1:])
+        ct = dataclasses.replace(c.nests[0], tag="n")
+        assert str(ct) == "(+, n)"
 
 
 class TestComplexTypes:
