@@ -30,16 +30,17 @@ computes what varies per candidate, then loops over the chain branches,
 and inside each over the exterior nets, each value bound at the loop
 where it varies.  Every branch that asks for the same (free zones,
 budget, deficit) key replays one net sequence, built only as far as some
-branch reads it.  The lambda_0 and corner bounds are decided from value
-tables, value -> closure key.  This is exact because `_lambda0_violation`
-reads only lambda_0 unless |lambda_0| = 3, and `_triangle_violation`
-reads only the corner value unless it is 3; only such a net builds the
-predicate's argument tuple.  That tuple, like the jump tier's and the oval
-budget's, goes through a memo, so each predicate runs once per distinct
-input in the scheme.  The budget test runs inline, and a ledger is built
-only for a net within budget (or any net with lemma10 ablated).  Closures
-merge by evidence, not by predicate inputs, and are listed in the order
-of their first net.
+branch reads it; each net in it is built once, as its triangle values and
+oval count, and read as built.  The lambda_0 and corner bounds are decided
+from value tables, value -> closure key.  This is exact because
+`_lambda0_violation` reads only lambda_0 unless |lambda_0| = 3, and
+`_triangle_violation` reads only the corner value unless it is 3; only
+such a net builds the predicate's argument tuple.  That tuple, like the
+jump tier's and the oval budget's, goes through a memo, so each predicate
+runs once per distinct input in the scheme.  The budget test runs inline,
+and a ledger is built only for a net within budget (or any net with
+lemma10 ablated).  Closures merge by evidence, not by predicate inputs,
+and are listed in the order of their first net.
 
 Interior-chain model (the engine's central commitment, validated against
 the reproduced intermediate values): a separating even nest either
@@ -336,8 +337,9 @@ def _signed_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 def _net_levels(
     free: tuple[int, ...], budget: int, deficit_rhs: Optional[int]
-) -> Iterator[list[tuple[int, ...]]]:
-    """The nets of `_free_assignments`, one sorted run per finished total.
+) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """The nets of `_free_assignments`, aligned with `free`, one sorted run
+    per finished total, yielded with that total.
 
     The non-last zones are enumerated level by level of their L1 norm
     `used`, each net goes to the bucket of its total `used + |v_last|`, and
@@ -350,7 +352,7 @@ def _net_levels(
 
     if not free:
         if deficit_rhs is None or deficit_rhs == 0:
-            yield [()]
+            yield 0, [()]
         return
     rest, last = free[:-1], free[-1]
     signs = tuple(coeff(z) for z in rest)
@@ -365,11 +367,11 @@ def _net_levels(
                 v_last = (deficit_rhs - sum(c * v for c, v in zip(signs, values))) * coeff(last)
                 buckets.setdefault(used + abs(v_last), []).append(values + (v_last,))
         if used in buckets:
-            yield sorted(buckets.pop(used))
+            yield used, sorted(buckets.pop(used))
         if not rest:
             break  # the last zone alone: every net is on level 0
     for total in sorted(buckets):
-        yield sorted(buckets[total])
+        yield total, sorted(buckets[total])
 
 
 def _free_assignments(
@@ -380,24 +382,29 @@ def _free_assignments(
 ) -> Iterator[tuple[int, ...]]:
     """Exterior triangle nets over the free zones, deficit equation applied.
 
-    Each net is a tuple of values aligned with `free`.  Zone 0 enters the
+    Each net is one record (x0, x1, x2, x3, ovals): the values of T0..T3,
+    0 off `free`, and the exterior ovals they place.  Zone 0 enters the
     deficit with +1, zones 1..3 with -1.  All but the last free zone range
     over the oval budget; the last is solved from the deficit equation and
     deliberately NOT budget-capped, so that bound rules get to fire on
     identity-forced values (budget feasibility is re-checked when a
     witness is built).
 
-    Nets are ordered by total absolute value, then by the values tuple.
-    Every consumer passing the same `sequences` replays one sequence per
-    key: `sequences[key]` is a tee over the runs of `_net_levels` that no
-    consumer advances, and each consumer reads a copy of it.  A net is
-    built when the first consumer gets that far, and the tee keeps it for
-    the others; a consumer that stops at a witness never builds the later
-    runs.
+    Nets are ordered by total absolute value, then by the values in the
+    order of `free`.  Every consumer passing the same `sequences` replays
+    one sequence per key: `sequences[key]` is a tee over the runs of
+    `_net_levels` that no consumer advances, and each consumer reads a
+    copy of it.  A net's record is built when the first consumer gets that
+    far, and the tee keeps it for the others; a consumer that stops at a
+    witness never builds the later runs.
     """
     key = (free, budget, deficit_rhs)
     if key not in sequences:
-        nets = itertools.chain.from_iterable(_net_levels(*key))
+        # a net padded with (0, its total) gives its record through `spread`
+        spread = operator.itemgetter(
+            *(free.index(z) if z in free else len(free) for z in range(4)), len(free) + 1
+        )
+        nets = (spread((*net, 0, total)) for total, run in _net_levels(*key) for net in run)
         sequences[key] = itertools.tee(nets, 1)[0]
     return copy.copy(sequences[key])
 
@@ -532,10 +539,6 @@ def _search(
         tables.branches_of[nest, jump is not None and i == 2]  # the jumped nest is third
         for i, nest in enumerate(curve_type.nests)
     ]
-    # A net padded with one 0 gives (x0, x1, x2, x3) through `spread`.
-    spread = operator.itemgetter(
-        *(zones.index(z) if z in zones else len(zones) for z in range(4))
-    )
     schemes = curve_type.schemes
     n1, n2, n3 = (s.nu for s in schemes)
     all_sep = all(ct.separating for ct in curve_type.nests)
@@ -580,13 +583,12 @@ def _search(
         branch_empty_key = empty_key if no_pop else None
         tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
         checked = 0
-        for net in _free_assignments(zones, beta, deficit_rhs, tables.nets):
+        for x0, x1, x2, x3, ovals in _free_assignments(zones, beta, deficit_rhs, tables.nets):
             checked += 1
-            x0, x1, x2, x3 = spread(net + (0,))
             lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
 
             # Empty-triangle list rule on genuinely empty nets.
-            if branch_empty_key and not (x0 or x1 or x2 or x3):
+            if branch_empty_key and not ovals:
                 tally[branch_empty_key] = tally.get(branch_empty_key, 0) + 1
                 continue
 
@@ -624,16 +626,15 @@ def _search(
             # sum(alpha) + beta = 25 (checked in _settle).  So the budget test
             # is the bound alone.
             p1, p2, p3 = rhs1 - lam0 + lam4, rhs2 - lam0 + lam5, rhs3 - lam0 + lam6
-            required = (abs(x0) + abs(x1) + abs(x2) + abs(x3)
-                        + abs(p1 - w1) + abs(p2 - w2) + abs(p3 - w3))
+            required = ovals + abs(p1 - w1) + abs(p2 - w2) + abs(p3 - w3)
             if required > beta and identities:
                 key = tables.over_budget[required, lam0, p1, p2, p3, lam4, lam5, lam6]
                 tally[key] = tally.get(key, 0) + 1
                 continue
 
             witness = _feasible_ledger(
-                curve_type, tables, pd, branches, (x0, x1, x2, x3), lam0,
-                (lam4, lam5, lam6), (p1, p2, p3) if required <= beta else None, tally,
+                curve_type, tables, pd, branches, (x0, x1, x2, x3, ovals), (w1, w2, w3),
+                lam0, (lam4, lam5, lam6), (p1, p2, p3) if required <= beta else None, tally,
             )
             if witness is not None:
                 closures = tuple(map(closure_of, tally.items()))
@@ -663,36 +664,34 @@ def _refined_corner(
 
 
 def _feasible_ledger(
-    curve_type, tables, pd, branches, xs, lam0, lam456, pinned, tally
+    curve_type, tables, pd, branches, net, quad_net, lam0, lam456, pinned, tally
 ) -> Optional[OrientationLedger]:
-    """The ledger of a branch's exterior net `xs` that the bounds leave
-    open, or None when a rule closes it, counted in `tally`.  `pinned` is
-    the identities' quadrangle values, or None when they need more ovals
-    than beta (only with lemma10 ablated)."""
+    """The ledger of a branch's exterior net record `net` that the bounds
+    leave open, or None when a rule closes it, counted in `tally`.
+    `quad_net` is the branch's chain nets into Q1..Q3, and `pinned` the
+    identities' quadrangle values, or None when they need more ovals than
+    beta (only with lemma10 ablated)."""
     beta = tables.beta
-    ext_pops = tuple(map(abs, xs))
-    ext_used = sum(ext_pops)
+    ext_pops = tuple(map(abs, net[:4]))
+    ext_used = net[4]
     pops = [ext_pops[0], 0, 0, 0, *ext_pops[1:]]
-    quad_net = [0, 0, 0, 0]  # zone-indexed, entries 1..3 used
-    quad_int = [0, 0, 0, 0]
+    quad_int = [0, 0, 0, 0]  # zone-indexed, entries 1..3 used
     for i, (b, ct) in enumerate(zip(branches, curve_type.nests)):
         zj, zk = _QUAD_ZONES[i]
         pops[0] += b.pop_t0
         pops[4 + i] += b.pop_t
-        quad_net[zj] += b.w[0]
-        quad_net[zk] += b.w[1]
         quad_int[zj] += ct.scheme.alpha - 1 - b.pop_t0 - b.pop_t - abs(b.w[1])
         quad_int[zk] += abs(b.w[1])
     if pinned is not None:
         # the identities' solution, the preferred witness shape even
         # when they are ablated (keeps ablation monotone)
         lam123 = pinned
-        y = [pinned[q - 1] - quad_net[q] for q in (1, 2, 3)]
+        y = [p - w for p, w in zip(pinned, quad_net)]
     else:
         # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1;
         # with no deficit identity every net keeps within beta
         y = [(beta - ext_used) % 2, 0, 0]
-        lam123 = tuple(quad_net[q] + y[q - 1] for q in (1, 2, 3))
+        lam123 = tuple(w + v for w, v in zip(quad_net, y))
     for q in (1, 2, 3):
         pops[q] = abs(y[q - 1]) + quad_int[q]
     pops[1] += beta - ext_used - sum(abs(v) for v in y)  # the leftover ovals

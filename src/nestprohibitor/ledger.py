@@ -18,7 +18,8 @@ from .schemes import DEGREE, OVALS
 ZONES = ("T0", "Q1", "Q2", "Q3", "T1", "T2", "T3")
 
 # The fields of a ledger's JSON object, in JSON order, each with the
-# ledger attribute it holds and the type of its value.
+# ledger attribute it holds and the type of its value: a list in JSON is a
+# tuple of ints in the ledger.
 _FIELDS = {
     "lambda": ("lam", list),
     "epsilon": ("eps", list),
@@ -47,6 +48,15 @@ class OrientationLedger:
     zone_pop: tuple[int, int, int, int, int, int, int]
 
     def __post_init__(self):
+        for name, (attr, kind) in _FIELDS.items():
+            value = getattr(self, attr)
+            if kind is list:
+                if type(value) is not tuple or any(type(v) is not int for v in value):
+                    raise LedgerError(
+                        f"field {name!r} must be a list of integers (a tuple here)"
+                    )
+            elif type(value) is not int:
+                raise LedgerError(f"field {name!r} must be an integer")
         if len(self.lam) != 7 or len(self.zone_pop) != 7 or len(self.eps) != 6:
             raise LedgerError("lambda and populations have 7 entries, epsilon 6")
         if any(e not in (1, -1) for e in self.eps):
@@ -93,24 +103,18 @@ class OrientationLedger:
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrientationLedger":
         """The ledger of a `to_json_dict` object.  A missing field raises
-        KeyError; an unknown field, or a value that is not an int, raises
-        LedgerError.  A bool is not an int here, nor is a float such as
-        1.0, which a draft-7 validator of ledger.schema.json would take for
-        an integer: the engine writes ints, and replay rejects -8.0 alike."""
+        KeyError; an unknown field raises LedgerError, and so does the
+        constructor for a value that is not an int.  A bool is not an int
+        here, nor is a float such as 1.0, which a draft-7 validator of
+        ledger.schema.json would take for an integer: the engine writes
+        ints, and replay rejects -8.0 alike."""
         if type(data) is not dict:
             raise LedgerError("a ledger is a JSON object")
-        for name, value in data.items():
+        for name in data:
             if name not in _FIELDS:
                 raise LedgerError(f"unknown field {name!r}")
-            if _FIELDS[name][1] is list:
-                if type(value) is not list or any(type(v) is not int for v in value):
-                    raise LedgerError(f"field {name!r} must be a list of integers")
-            elif type(value) is not int:
-                raise LedgerError(f"field {name!r} must be an integer")
-        return cls(**{
-            attr: tuple(data[name]) if kind is list else data[name]
-            for name, (attr, kind) in _FIELDS.items()
-        })
+        fields = {attr: data[name] for name, (attr, _) in _FIELDS.items()}
+        return cls(**{a: tuple(v) if type(v) is list else v for a, v in fields.items()})
 
 
 def rokhlin_mishachev_rhs(m: int = DEGREE) -> int:

@@ -41,11 +41,16 @@ class OrevkovTerms:
             raise OrevkovError("a negative non-empty oval forces pi = 0")
 
 
+def _terms(scheme: NestScheme) -> tuple[int, int, int, int]:
+    """(pi, pi', N, M) for one nest, as a plain tuple."""
+    if scheme.nu == PLUS:
+        return -scheme.diff, 0, 1, 0
+    return 0, scheme.diff, 0, 1
+
+
 def nest_terms(scheme: NestScheme) -> OrevkovTerms:
     """(pi, pi', N, M) for one nest."""
-    if scheme.nu == PLUS:
-        return OrevkovTerms(pi=scheme.a_minus - scheme.a_plus, pi_prime=0, big_n=1, big_m=0)
-    return OrevkovTerms(pi=0, pi_prime=scheme.a_plus - scheme.a_minus, big_n=0, big_m=1)
+    return OrevkovTerms(*_terms(scheme))
 
 
 def g_value(scheme: NestScheme) -> int:
@@ -68,15 +73,14 @@ def _g_from_definition(scheme: NestScheme, base_sign: int) -> int:
 def e_values(
     s1: NestScheme, s2: NestScheme, s3: NestScheme
 ) -> tuple[int, int, int, int]:
-    """First-formula residuals E_0..E_3 for the four exterior placements."""
-    t = [nest_terms(s) for s in (s1, s2, s3)]
-    e0 = sum(x.pi for x in t) - sum(x.big_n for x in t)
-    out = [e0]
-    for i in range(3):
-        lhs = sum(t[j].pi for j in range(3) if j != i) + t[i].pi_prime
-        rhs = sum(t[j].big_n for j in range(3) if j != i) + t[i].big_m
-        out.append(lhs - rhs)
-    return tuple(out)
+    """First-formula residuals E_0..E_3 for the four exterior placements.
+
+    E_0 = sum(pi - N); placing the oval in T_i instead trades nest i's
+    (pi, N) for its (pi', M), so E_i = E_0 - pi_i + pi'_i + N_i - M_i.
+    """
+    t = (_terms(s1), _terms(s2), _terms(s3))
+    e0 = sum(pi - n for pi, _, n, _ in t)
+    return (e0, *(e0 - pi + pi_prime + n - m for pi, pi_prime, n, m in t))
 
 
 def allowed_zones(s1: NestScheme, s2: NestScheme, s3: NestScheme) -> tuple[int, ...]:

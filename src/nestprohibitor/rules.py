@@ -211,22 +211,16 @@ def _triangle_violation(value: int, deficit: int, zone: int) -> Optional[dict]:
     return None
 
 
-def rule_triangle_bound(c: Candidate, i: Optional[int] = None) -> RuleVerdict:
-    """Bound on one corner triangle (i in 1..3), or all flagged ones."""
-    if c.ledger is None:
+def rule_triangle_bound(c: Candidate) -> RuleVerdict:
+    """Bound on each corner triangle flagged as holding only exterior ovals."""
+    flagged = [idx for idx in (1, 2, 3) if c.t_only_exterior[idx - 1] is True]
+    if c.ledger is None or not flagged:
         return RuleVerdict("triangle_bound", INAPPLICABLE)
-    indices = (i,) if i is not None else (1, 2, 3)
     deficit = lambda_deficit(c.ledger)
-    checked = False
-    for idx in indices:
-        if c.t_only_exterior[idx - 1] is not True:
-            continue
-        checked = True
+    for idx in flagged:
         violation = _triangle_violation(c.ledger.lam[3 + idx], deficit, idx)
         if violation:
             return _judged("triangle_bound", violation)
-    if not checked:
-        return RuleVerdict("triangle_bound", INAPPLICABLE)
     return _judged("triangle_bound", None)
 
 

@@ -347,6 +347,8 @@ class ComplexType:
     _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.scheme, NestScheme):
+            raise SchemeInvariantError(f"scheme {self.scheme!r} is not a NestScheme")
         if self.tag not in TAGS:
             raise SchemeInvariantError(f"unknown tag {self.tag!r}")
         if self.tag in ("u", "d"):
@@ -437,16 +439,25 @@ class CurveType:
     _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.nests) != 3:
+        nests, jump = self.nests, self.jump
+        if not isinstance(nests, tuple):
+            raise SchemeInvariantError("the nests of a curve type are a tuple")
+        if len(nests) != 3:
             raise SchemeArityError("a curve type lists exactly three nests")
-        schemes = tuple(ct.scheme for ct in self.nests)
-        jump, jumped = self.jump, schemes[2]
+        c1, c2, c3 = nests
+        if not (isinstance(c1, ComplexType) and isinstance(c2, ComplexType)
+                and isinstance(c3, ComplexType)):
+            raise SchemeInvariantError("every nest of a curve type is a ComplexType")
+        if jump is not None and not isinstance(jump, Jump):
+            raise SchemeInvariantError(f"jump {jump!r} is not None or a Jump")
+        schemes = (c1.scheme, c2.scheme, c3.scheme)
+        jumped = schemes[2]
         two = abs(jumped.diff) == 2
         if abs(schemes[0].diff) == 2 or abs(schemes[1].diff) == 2 or (two and jump is None):
             raise SchemeInvariantError("imbalance 2 requires the jump to sit in that nest")
         if jump is not None:
             odd = jump.all_odd
-            if self.nests[2].tag != "n":
+            if c3.tag != "n":
                 raise SchemeInvariantError("a jumped nest is non-separating")
             if two and not odd:
                 raise SchemeInvariantError("imbalance 2 requires an all-odd repartition")
@@ -458,7 +469,7 @@ class CurveType:
             if odd and not two:
                 raise SchemeInvariantError("an all-odd repartition forces interior imbalance 2")
         object.__setattr__(self, "schemes", schemes)
-        body = ", ".join(ct._text for ct in self.nests)
+        body = f"{c1._text}, {c2._text}, {c3._text}"
         if jump is not None:
             cross = {None: "?", True: "crossing", False: "non-crossing"}[jump.crossing]
             body = f"{body} | jump {jump.repartition} {cross}"

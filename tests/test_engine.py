@@ -381,6 +381,12 @@ def _eager_free_assignments(free, budget, deficit_rhs):
         yield values
 
 
+def _record(free, values):
+    """The record (x0, x1, x2, x3, ovals) of a net aligned with `free`."""
+    by_zone = dict(zip(free, values))
+    return (*(by_zone.get(z, 0) for z in range(4)), sum(map(abs, values)))
+
+
 class TestFreeAssignments:
     # The engine passes sorted zone tuples; the reversed ones put zone 0,
     # the only zone with deficit coefficient +1, in the solved last place.
@@ -398,7 +404,7 @@ class TestFreeAssignments:
         for budget in range(7):
             for deficit_rhs in (None, *range(-8, 9)):
                 key = (free, budget, deficit_rhs)
-                eager = list(_eager_free_assignments(*key))
+                eager = [_record(free, v) for v in _eager_free_assignments(*key)]
                 assert list(_free_assignments(*key, {})) == eager, key
                 # A consumer that stops halfway builds the shared sequence
                 # only so far; the next one extends it to the end.
@@ -412,7 +418,7 @@ class TestFreeAssignments:
     def test_first_net_at_a_large_budget(self):
         free = (0, 1, 2, 3)
         first = list(itertools.islice(_free_assignments(free, 25, 1, {}), 1))
-        assert first == [next(_eager_free_assignments(free, 25, 1))]
+        assert first == [_record(free, next(_eager_free_assignments(free, 25, 1)))]
 
 
 def shared_list_evidence(traces):

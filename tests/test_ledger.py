@@ -181,6 +181,37 @@ class TestValidation:
         ledger.validate()
 
 
+# The keyword arguments of a ledger that validates.
+GOOD = dict(
+    lam=(0,) * 7,
+    eps=(1, 1, 1, -1, -1, -1),
+    lambda_plus=14,
+    lambda_minus=14,
+    pi_plus=0,
+    pi_minus=0,
+    zone_pop=(0,) * 7,
+)
+
+
+class TestFieldTypes:
+    # The constructor checks each field's type, so a ledger built in
+    # Python meets the same rules as one read from JSON.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lambda_plus", 14.0, "field 'LambdaPlus' must be an integer"),
+            ("pi_minus", False, "field 'PiMinus' must be an integer"),
+            ("lam", [0] * 7, "field 'lambda' must be a list of integers"),
+            ("zone_pop", (0.0,) * 7, "field 'zonePop' must be a list of integers"),
+            ("eps", (True, 1, 1, -1, -1, -1), "field 'epsilon' must be a list of integers"),
+        ],
+        ids=["float-int", "bool-int", "list-sequence", "float-entries", "bool-entries"],
+    )
+    def test_wrong_type_is_refused(self, field, value, message):
+        with pytest.raises(LedgerError, match=message):
+            OrientationLedger(**{**GOOD, field: value})
+
+
 class TestJson:
     def test_round_trip(self):
         ledger = make_ledger(lam=(-4, 6, 6, 6, 0, 0, 0), eps=(-1,) * 6, pi_plus=3, pi_minus=3)

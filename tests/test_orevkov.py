@@ -126,6 +126,19 @@ class TestEValues:
         triple = (ns(MINUS, 1, 1), ns(MINUS, 0, 1), ns(MINUS, 0, 1))
         assert e_values(*triple)[1:] == (-1, -2, -2)
 
+    def test_equals_the_definition_from_nest_terms(self):
+        # E_0 = sum pi - sum N; E_i swaps nest i's (pi, N) for (pi', M)
+        pool = [s for alpha in range(1, 7) for s in enumerate_nest_schemes(alpha, True)]
+        for triple in itertools.product(pool, repeat=3):
+            t = [nest_terms(s) for s in triple]
+            expected = [sum(x.pi for x in t) - sum(x.big_n for x in t)]
+            for i in range(3):
+                others = [t[j] for j in range(3) if j != i]
+                lhs = sum(x.pi for x in others) + t[i].pi_prime
+                rhs = sum(x.big_n for x in others) + t[i].big_m
+                expected.append(lhs - rhs)
+            assert e_values(*triple) == tuple(expected), triple
+
     def test_slot_symmetry(self):
         # swapping the two uninvolved nests fixes E0 and swaps their E's
         for s1, s2, s3 in itertools.product(

@@ -129,7 +129,7 @@ class TestTriangleBound:
     def test_four_violates(self):
         ledger = make_ledger(lam=(0, 0, 0, 0, 0, 0, 4))
         v = rule_triangle_bound(
-            with_ledger(ledger, t_only_exterior=(None, None, True)), 3
+            with_ledger(ledger, t_only_exterior=(None, None, True))
         )
         assert v.status == VIOLATED
         assert v.evidence == {"zone": "T3", "lambda": 4}
@@ -138,20 +138,20 @@ class TestTriangleBound:
         ledger = make_ledger(lam=(1, 0, 0, 0, 0, 0, 3))
         assert ledger.lam[0] - ledger.lam[4] - ledger.lam[5] - ledger.lam[6] == -2
         v = rule_triangle_bound(
-            with_ledger(ledger, t_only_exterior=(None, None, True)), 3
+            with_ledger(ledger, t_only_exterior=(None, None, True))
         )
         assert v.status == SATISFIED
 
     def test_minus_three_violates(self):
         ledger = make_ledger(lam=(0, 0, 0, 0, 0, 0, -3))
         v = rule_triangle_bound(
-            with_ledger(ledger, t_only_exterior=(None, None, True)), 3
+            with_ledger(ledger, t_only_exterior=(None, None, True))
         )
         assert v.status == VIOLATED
 
     def test_hypothesis_off(self):
         ledger = make_ledger(lam=(0, 0, 0, 0, 0, 0, 4))
-        assert rule_triangle_bound(with_ledger(ledger), 3).status == INAPPLICABLE
+        assert rule_triangle_bound(with_ledger(ledger)).status == INAPPLICABLE
 
 
 class TestBoundsReadOneValue:

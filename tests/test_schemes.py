@@ -234,10 +234,15 @@ def _jumped_curve_type() -> CurveType:
     )
 
 
+N_TYPE = ComplexType(NestScheme(PLUS, 1, 1), "n")
+
+
 class TestConstructorChecks:
     # A check by value alone takes each of these, as 1 == True and 2.0 == 2,
     # and the value then prints or replays wrongly: the jump trichotomy
-    # reads a crossing of 0 as "not False", and replay rejects it.
+    # reads a crossing of 0 as "not False", and replay rejects it.  A part
+    # of the wrong type would end in an AttributeError, or in a value whose
+    # hash raises TypeError.
     @pytest.mark.parametrize(
         "build",
         [
@@ -250,10 +255,15 @@ class TestConstructorChecks:
             lambda: Jump((1, 1, 1), crossing=0),
             lambda: Jump((1, 1, 1), crossing=1),
             lambda: Jump((1, 1, 1), crossing="x"),
+            lambda: ComplexType((1, 1, 1), "n"),
+            lambda: CurveType((N_TYPE, N_TYPE, N_TYPE), (1, 1, 1)),
+            lambda: CurveType([N_TYPE, N_TYPE, N_TYPE]),
+            lambda: CurveType((N_TYPE, N_TYPE, NestScheme(PLUS, 1, 1))),
         ],
         ids=[
             "alpha-float", "beta-bool", "nu-bool", "a_plus-float", "a_minus-bool",
             "repartition-float", "crossing-zero", "crossing-one", "crossing-string",
+            "scheme-tuple", "jump-tuple", "nests-list", "nest-scheme",
         ],
     )
     def test_loose_value_rejected(self, build):
