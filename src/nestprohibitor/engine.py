@@ -58,7 +58,7 @@ import copy
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .ledger import OrientationLedger
@@ -66,6 +66,7 @@ from .figures import FIG21_DISCREPANT_ROW, FIG21_PRINTED_VALUE, FIG21_TRIPLES
 from .orevkov import allowed_zones, e_values, f_value, g_value
 from .rules import (
     Candidate,
+    Evidence,
     RULES,
     VIOLATED,
     _budget_violation,
@@ -236,29 +237,15 @@ def jump_candidates(scheme: RealScheme) -> list[CurveType]:
 
 @dataclass(frozen=True)
 class Closure:
-    rule_id: str
-    evidence: dict
-    count: int = 1
-    # the evidence keys that hold a list, found once, when the closure is built
-    lists: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    """A rule closing `count` assignments.  `to_json_dict` returns a fresh
+    dict; its `evidence` is the shared, read-only value, uncopied."""
 
-    def __post_init__(self):
-        lists = tuple(k for k, v in self.evidence.items() if type(v) is list)
-        object.__setattr__(self, "lists", lists)
+    rule_id: str
+    evidence: Evidence
+    count: int = 1
 
     def to_json_dict(self) -> dict:
-        """A fresh dict.  The branches closed by equal evidence share one
-        evidence dict, across all the candidates of a scheme, so a list in
-        it is copied, with the dict that holds it; a dict of numbers and
-        strings alone is passed as it is, shared with every other output of
-        that evidence, since a copy of every one would add a dict per
-        closure to the output."""
-        evidence = self.evidence
-        if self.lists:
-            evidence = evidence.copy()
-            for k in self.lists:
-                evidence[k] = evidence[k].copy()
-        return {"rule": self.rule_id, "evidence": evidence, "count": self.count}
+        return {"rule": self.rule_id, "evidence": self.evidence, "count": self.count}
 
 
 @dataclass(frozen=True)

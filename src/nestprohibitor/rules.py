@@ -10,7 +10,7 @@ Citations name entries of the axiom registry listed in the README; the
 rules encode those statements, not their proofs.
 
 Only this module shapes evidence: each shape has one pure predicate over
-plain numbers that returns the exact evidence dict or None.  They are
+plain numbers that returns the exact, read-only `Evidence` or None.  They are
 `_rm_violation`, `_identities_violation`, `_deficit_identity_violation`,
 `_budget_violation`, `_unreachable_violation` (the four lemma10 shapes),
 `_lambda0_violation`, `_triangle_violation`, `_exterior_zone_violation`,
@@ -42,6 +42,22 @@ VIOLATED = "violated"
 INAPPLICABLE = "inapplicable"
 
 
+class Evidence(dict):
+    """A dict whose mutators raise TypeError, its sequences tuples; a copy
+    is a plain dict.  One value is shared by everything that cites it."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("evidence is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = _read_only
+    pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 @dataclass(frozen=True)
 class Candidate:
     """Everything a rule may look at; unset parts make rules inapplicable."""
@@ -62,8 +78,7 @@ class Candidate:
 class RuleVerdict:
     rule_id: str
     status: str
-    evidence: Optional[dict] = None
-    info: Optional[dict] = None
+    evidence: Optional[Evidence] = None
 
     def __post_init__(self):
         if (self.status == VIOLATED) != (self.evidence is not None):
@@ -82,19 +97,17 @@ class Rule:
         return self.check(candidate)
 
 
-def _judged(rule_id: str, violation: Optional[dict], info=None) -> RuleVerdict:
+def _judged(rule_id: str, violation: Optional[Evidence]) -> RuleVerdict:
     """VIOLATED with the predicate's evidence, else SATISFIED."""
-    if violation:
-        return RuleVerdict(rule_id, VIOLATED, violation, info)
-    return RuleVerdict(rule_id, SATISFIED, info=info)
+    return RuleVerdict(rule_id, VIOLATED if violation else SATISFIED, violation)
 
 
 # ---------------------------------------------------------------------------
 # Individual rules
 
 
-def _rm_violation(residual: int) -> Optional[dict]:
-    return {"residual": residual} if residual != 0 else None
+def _rm_violation(residual: int) -> Optional[Evidence]:
+    return Evidence({"residual": residual}) if residual != 0 else None
 
 
 def rule_rm(c: Candidate) -> RuleVerdict:
@@ -103,44 +116,44 @@ def rule_rm(c: Candidate) -> RuleVerdict:
     return _judged("rm", _rm_violation(rm_residual(c.ledger)))
 
 
-def _identities_violation(residuals) -> Optional[dict]:
+def _identities_violation(residuals) -> Optional[Evidence]:
     """The five zone-contribution identities, as residuals."""
-    return {"residuals": list(residuals)} if any(residuals) else None
+    return Evidence({"residuals": tuple(residuals)}) if any(residuals) else None
 
 
-def _deficit_identity_violation(deficit_required: int, deficit_forced: int) -> Optional[dict]:
+def _deficit_identity_violation(deficit_required: int, deficit_forced: int) -> Optional[Evidence]:
     """The deficit identity on a branch whose lambda values are all forced."""
     if deficit_required == deficit_forced:
         return None
-    return {
+    return Evidence({
         "reason": "the deficit identity fails outright",
         "deficit_required": deficit_required,
         "deficit_forced": deficit_forced,
-    }
+    })
 
 
-def _budget_violation(required_budget: int, budget: int, lam) -> Optional[dict]:
+def _budget_violation(required_budget: int, budget: int, lam) -> Optional[Evidence]:
     """The identities' quadrangle values need more ovals than beta."""
     if required_budget <= budget:
         return None
-    return {
+    return Evidence({
         "reason": "oval budget cannot realize the identities",
         "required_budget": required_budget,
         "budget": budget,
-        "lambda": list(lam),
-    }
+        "lambda": tuple(lam),
+    })
 
 
-def _unreachable_violation(zone: int, required: int, reachable) -> Optional[dict]:
+def _unreachable_violation(zone: int, required: int, reachable) -> Optional[Evidence]:
     """An identity forces a corner value that no chain branch reaches."""
     if required in reachable:
         return None
-    return {
+    return Evidence({
         "zone": f"T{zone}",
         "required": required,
-        "reachable": list(reachable),
+        "reachable": tuple(reachable),
         "unreachable": True,
-    }
+    })
 
 
 def rule_lemma10(c: Candidate) -> RuleVerdict:
@@ -154,31 +167,31 @@ def _lambda0_violation(
     all_separating: Optional[bool],
     epsilon_sum: Optional[int],
     emptiable_quads: Optional[tuple[int, ...]],
-) -> Optional[dict]:
+) -> Optional[Evidence]:
     """Core predicate shared by the live check and trace replay."""
     if abs(lambda0) > 3:
-        return {"lambda0": lambda0, "tier": "lemma16"}
+        return Evidence({"lambda0": lambda0, "tier": "lemma16"})
     if abs(lambda0) == 3:
         sign = 1 if lambda0 > 0 else -1
         if all_separating is False:
-            return {
+            return Evidence({
                 "lambda0": lambda0,
                 "tier": "lemma16-refinement",
                 "reason": "non-separating nest",
-            }
+            })
         if epsilon_sum is not None and epsilon_sum != -6 * sign:
-            return {
+            return Evidence({
                 "lambda0": lambda0,
                 "tier": "lemma16-refinement",
                 "reason": "epsilon sum",
                 "epsilon_sum": epsilon_sum,
-            }
+            })
         if emptiable_quads is not None and not emptiable_quads:
-            return {
+            return Evidence({
                 "lambda0": lambda0,
                 "tier": "lemma16-refinement",
                 "reason": "no empty quadrangle",
-            }
+            })
     return None
 
 
@@ -201,13 +214,15 @@ def rule_lambda0_bound(c: Candidate) -> RuleVerdict:
     )
 
 
-def _triangle_violation(value: int, deficit: int, zone: int) -> Optional[dict]:
+def _triangle_violation(value: int, deficit: int, zone: int) -> Optional[Evidence]:
     if abs(value) > 3:
-        return {"zone": f"T{zone}", "lambda": value}
+        return Evidence({"zone": f"T{zone}", "lambda": value})
     if value == -3:
-        return {"zone": f"T{zone}", "lambda": value, "reason": "+3 is forced at magnitude 3"}
+        return Evidence(
+            {"zone": f"T{zone}", "lambda": value, "reason": "+3 is forced at magnitude 3"}
+        )
     if value == 3 and deficit != -2:
-        return {"zone": f"T{zone}", "lambda": value, "deficit": deficit}
+        return Evidence({"zone": f"T{zone}", "lambda": value, "deficit": deficit})
     return None
 
 
@@ -224,32 +239,29 @@ def rule_triangle_bound(c: Candidate) -> RuleVerdict:
     return _judged("triangle_bound", None)
 
 
-def _exterior_zone_violation(zone: int, e_value: int, population: int) -> Optional[dict]:
+def _exterior_zone_violation(zone: int, e_value: int, population: int) -> Optional[Evidence]:
     """Exterior ovals in triangle T_zone against a nonzero residual E_zone."""
     if population > 0 and e_value != 0:
-        return {"zone": f"T{zone}", "e_value": e_value, "population": population}
+        return Evidence({"zone": f"T{zone}", "e_value": e_value, "population": population})
     return None
 
 
 def rule_exterior_zone(c: Candidate) -> RuleVerdict:
-    if c.curve_type is None:
+    if c.curve_type is None or c.exterior_triangle_pops is None:
         return RuleVerdict("exterior_zone", INAPPLICABLE)
     e = e_values(*c.curve_type.schemes)
-    info = {"allowed": [z for z in range(4) if e[z] == 0]}
-    if c.exterior_triangle_pops is None:
-        return RuleVerdict("exterior_zone", INAPPLICABLE, info=info)
     for z, pop in enumerate(c.exterior_triangle_pops):
         violation = _exterior_zone_violation(z, e[z], pop)
         if violation:
-            return _judged("exterior_zone", violation, info)
-    return _judged("exterior_zone", None, info)
+            return _judged("exterior_zone", violation)
+    return _judged("exterior_zone", None)
 
 
-def _separating_violation(nest: int, f: int, g_sum: int) -> Optional[dict]:
+def _separating_violation(nest: int, f: int, g_sum: int) -> Optional[Evidence]:
     """F of separating nest `nest` (1-based) against G_j + G_k."""
     if f == g_sum:
         return None
-    return {"nest": nest, "f": f, "g_sum": g_sum, "residual": f - g_sum}
+    return Evidence({"nest": nest, "f": f, "g_sum": g_sum, "residual": f - g_sum})
 
 
 def rule_separating(c: Candidate) -> RuleVerdict:
@@ -267,7 +279,7 @@ def rule_separating(c: Candidate) -> RuleVerdict:
     return _judged("separating", None)
 
 
-def _empty_triangles_violation(schemes: tuple[NestScheme, ...]) -> Optional[dict]:
+def _empty_triangles_violation(schemes: tuple[NestScheme, ...]) -> Optional[Evidence]:
     """Violated unless some nest labeling puts two schemes in
     {(+,-), (-,+)} and one in {(+,-,-), (-,+,+)}."""
 
@@ -280,7 +292,7 @@ def _empty_triangles_violation(schemes: tuple[NestScheme, ...]) -> Optional[dict
     for a, b, c_ in itertools.permutations(schemes):
         if small(a) and small(b) and big(c_):
             return None
-    return {"schemes": [str(s) for s in schemes]}
+    return Evidence({"schemes": tuple(str(s) for s in schemes)})
 
 
 def rule_empty_triangles(c: Candidate) -> RuleVerdict:
@@ -301,21 +313,21 @@ def jump_cases_open(pd: int, nu3: int, crossing: Optional[bool]) -> list[int]:
     return cases
 
 
-def _jump_stage_violation(pi_delta: int, nu3: int, crossing: Optional[bool]) -> Optional[dict]:
+def _jump_stage_violation(pi_delta: int, nu3: int, crossing: Optional[bool]) -> Optional[Evidence]:
     """Stage tier: no case of the trichotomy is open on candidate data."""
     if jump_cases_open(pi_delta, nu3, crossing):
         return None
-    return {
+    return Evidence({
         "pi_delta": pi_delta,
         "nu3": nu3,
         "crossing": crossing,
         "reason": "every case requires Pi_delta in {3, 4} with matching sign data",
-    }
+    })
 
 
 def _jump_violation(
     pi_delta: int, open_cases: list[int], deficit: int, lambda045: int, lambda6: int
-) -> Optional[dict]:
+) -> Optional[Evidence]:
     """Numeric tier: some open case must hold on the lambda values."""
     if (
         (1 in open_cases and deficit == 0)
@@ -323,13 +335,13 @@ def _jump_violation(
         or (3 in open_cases and lambda6 == 1)
     ):
         return None
-    return {
+    return Evidence({
         "pi_delta": pi_delta,
-        "open_cases": open_cases,
+        "open_cases": tuple(open_cases),
         "deficit": deficit,
         "lambda045": lambda045,
         "lambda6": lambda6,
-    }
+    })
 
 
 def rule_jump(c: Candidate) -> RuleVerdict:
@@ -346,7 +358,7 @@ def rule_jump(c: Candidate) -> RuleVerdict:
         violation = _jump_violation(
             pd, open_cases, lambda_deficit(c.ledger), lam[0] - lam[4] - lam[5], lam[6]
         )
-    return _judged("jump", violation, None if violation else {"open_cases": open_cases})
+    return _judged("jump", violation)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +452,7 @@ def evaluate_all(candidate: Candidate, ablate: tuple[str, ...] = ()) -> dict[str
 # Evidence replay (soundness hook for proof traces)
 
 
-def _rederive(rule_id: str, e: dict) -> Optional[dict]:
+def _rederive(rule_id: str, e: dict) -> Optional[Evidence]:
     """The rule's predicate re-run on the inputs that the evidence records,
     each number taken as the int the engine writes; ValueError for a value
     outside the engine's domain."""
@@ -491,9 +503,11 @@ def _rederive(rule_id: str, e: dict) -> Optional[dict]:
         nest = within(int(e["nest"]), range(1, 4))
         return _separating_violation(nest, int(e["f"]), int(e["g_sum"]))
     if rule_id == "empty_triangles":
+        if not all(type(s) is str for s in e["schemes"]):
+            raise TypeError("a scheme is not a string")
         return _empty_triangles_violation(tuple(_parse_short_scheme(s) for s in e["schemes"]))
     # jump: |Pi_delta| <= 4, as |diff| <= 2 in the jumped nest and <= 1
-    # elsewhere; the open cases, never none, must be ones it leaves open
+    # elsewhere; the open cases, never none, are those of one sign of nu3
     pd = within(int(e["pi_delta"]), range(-4, 5))
     if "open_cases" not in e:
         crossing = e["crossing"]  # by identity: 0 == False
@@ -501,8 +515,7 @@ def _rederive(rule_id: str, e: dict) -> Optional[dict]:
             raise ValueError(f"crossing {crossing!r} is not None, True or False")
         return _jump_stage_violation(pd, within(int(e["nu3"]), (PLUS, MINUS)), crossing)
     open_cases = ints("open_cases")
-    possible = {*jump_cases_open(pd, PLUS, None), *jump_cases_open(pd, MINUS, None)}
-    if not open_cases or not set(open_cases) <= possible:
+    if not open_cases or open_cases not in [jump_cases_open(pd, s, None) for s in (PLUS, MINUS)]:
         return None
     return _jump_violation(
         pd, open_cases, int(e["deficit"]), int(e["lambda045"]), int(e["lambda6"])
@@ -517,7 +530,9 @@ def replay_violation(rule_id: str, evidence: dict) -> bool:
     import json  # replay only; the search does not pay for the import
 
     check_rule_ids([rule_id])
+    if not isinstance(evidence, dict):
+        return False
     try:
         return json.dumps(_rederive(rule_id, evidence)) == json.dumps(evidence)
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
         return False

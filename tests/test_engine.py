@@ -1,5 +1,6 @@
 """Elimination engine: candidate spaces, traces, theorem drivers."""
 
+import copy
 import gc
 import hashlib
 import itertools
@@ -26,6 +27,7 @@ from nestprohibitor.rules import (
     SATISFIED,
     VIOLATED,
     Candidate,
+    Evidence,
     replay_violation,
     rule_jump,
     rule_separating,
@@ -421,18 +423,27 @@ class TestFreeAssignments:
         assert first == [_record(free, next(_eager_free_assignments(free, 25, 1)))]
 
 
-def shared_list_evidence(traces):
-    """The first two traces with a branch closure each whose evidence is
-    one shared dict holding a list."""
-    owner = {}
-    for trace in traces:
-        for branch in trace.branches:
-            for closure in branch.closures:
-                if closure.lists:
-                    first = owner.setdefault(id(closure.evidence), trace)
-                    if first is not trace:
-                        return first, trace
-    raise AssertionError("no two traces share list-holding evidence")
+def assert_replays(closure):
+    """The closure's evidence is a read-only `Evidence` that holds no list,
+    and it replays both as it is and from its JSON text."""
+    evidence = closure.evidence
+    assert type(evidence) is Evidence, closure
+    assert not any(type(v) is list for v in evidence.values()), closure
+    assert replay_violation(closure.rule_id, evidence), closure
+    assert replay_violation(closure.rule_id, json.loads(json.dumps(evidence))), closure
+
+
+# Every mutator of a dict, with arguments.
+DICT_EDITS = (
+    ("__setitem__", "zone", 9),
+    ("__delitem__", "zone"),
+    ("__ior__", {}),
+    ("clear",),
+    ("pop", "zone"),
+    ("popitem",),
+    ("setdefault", "zone"),
+    ("update", {}),
+)
 
 
 class TestTraceProperties:
@@ -442,29 +453,36 @@ class TestTraceProperties:
         b = eliminate(candidate, SCHEME_2_2_20).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_json_dicts_are_fresh(self):
-        # every branch of row 1 is closed by one shared closure object
-        trace = eliminate(figure20_candidate(FIG20_ROWS[0], SCHEME_2_2_20), SCHEME_2_2_20)
-        sibling = trace.branches[1]
-        assert trace.branches[0].closures[0] is sibling.closures[0]
+    @pytest.mark.parametrize(
+        "row, rule_id", [(FIG20_ROWS[0], "empty_triangles"), (FIG20_ROWS[2], "triangle_bound")]
+    )
+    def test_json_evidence_is_shared_and_read_only(self, row, rule_id):
+        trace = eliminate(figure20_candidate(row, SCHEME_2_2_20), SCHEME_2_2_20)
         expected = json.dumps(trace.to_json_dict())
-        closure = trace.to_json_dict()["branches"][0]["closures"][0]
+        data = trace.to_json_dict()
+        branch = data["branches"][0]
+        closure = branch["closures"][0]
+        assert closure["rule"] == rule_id
+        # the evidence is the closure's own value, which refuses every edit
+        assert closure["evidence"] is trace.branches[0].closures[0].evidence
+        for name, *args in DICT_EDITS:
+            with pytest.raises(TypeError):
+                getattr(closure["evidence"], name)(*args)
+        # the dicts around it are fresh
         closure["count"] += 1
-        closure["evidence"]["schemes"].append("(+, n)")
+        closure["rule"] = "lemma99"
+        branch["solutionsChecked"] += 1
+        branch["closures"].append(closure)
+        data["branches"].clear()
         assert json.dumps(trace.to_json_dict()) == expected
-        assert sibling.to_json_dict() == json.loads(expected)["branches"][1]
-        # the candidates of one scheme share their closures as well: here two
-        # are closed by one empty-triangle evidence, which holds a list
-        traces = prove_theorem1(schemes=[RealScheme((1, 2, 22), 0)]).results[0].traces
-        first, other = shared_list_evidence(traces)
-        expected = [json.dumps(t.to_json_dict()) for t in (first, other)]
-        for branch in first.to_json_dict()["branches"]:
-            for closure in branch["closures"]:
-                closure["count"] += 1
-                for value in closure["evidence"].values():
-                    if type(value) is list:
-                        value.append(0)
-        assert [json.dumps(t.to_json_dict()) for t in (first, other)] == expected
+        # a deep copy is a plain dict that may be edited
+        copied = copy.deepcopy(trace.to_json_dict())
+        assert json.dumps(copied) == expected
+        evidence = copied["branches"][0]["closures"][0]["evidence"]
+        assert type(evidence) is dict
+        evidence["zone"] = 9
+        evidence.clear()
+        assert json.dumps(trace.to_json_dict()) == expected
 
     def test_soundness_replay(self):
         for row in FIG20_ROWS:
@@ -474,7 +492,7 @@ class TestTraceProperties:
                 closures.extend(branch.closures)
             assert closures
             for closure in closures:
-                assert replay_violation(closure.rule_id, closure.evidence)
+                assert_replays(closure)
 
     def test_permutation_invariance_of_outcomes(self):
         scheme = RealScheme((2, 4, 6), 13)
@@ -656,10 +674,7 @@ class TestTheorem1:
                 for branch in trace.branches:
                     closures.extend(branch.closures)
                 for closure in closures:
-                    assert replay_violation(closure.rule_id, closure.evidence), (
-                        trace.candidate,
-                        closure,
-                    )
+                    assert_replays(closure)
 
 
 # The pinned schemes, each unablated and with one of seven rules ablated; the
@@ -787,7 +802,7 @@ class TestExactReplay:
         closures = list(_closures(report))
         assert len({_shape(c) for c in closures}) == 11
         for closure in closures:
-            assert replay_violation(closure.rule_id, closure.evidence), closure
+            assert_replays(closure)
 
     def test_deficit_identity_shape(self):
         report = prove_theorem1(
@@ -797,10 +812,10 @@ class TestExactReplay:
         closures = list(_closures(report))
         assert any("deficit_required" in c.evidence for c in closures)
         for closure in closures:
-            assert replay_violation(closure.rule_id, closure.evidence), closure
+            assert_replays(closure)
 
     def test_proposition2(self, prop2_report):
         closures = [c for row in prop2_report.rows for c in row.closures]
         assert {c.rule_id for c in closures} == {"exterior_zone", "lemma10", "separating"}
         for closure in closures:
-            assert replay_violation(closure.rule_id, closure.evidence), closure
+            assert_replays(closure)

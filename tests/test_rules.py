@@ -1,9 +1,11 @@
 """Rule catalog: verdicts on the documented cases, evidence discipline."""
 
 import itertools
+import json
 
 import pytest
 
+from nestprohibitor.orevkov import allowed_zones
 from nestprohibitor.rules import (
     INAPPLICABLE,
     RULE_ORDER,
@@ -14,6 +16,7 @@ from nestprohibitor.rules import (
     _lambda0_violation,
     _triangle_violation,
     evaluate_all,
+    jump_cases_open,
     replay_violation,
     rule_empty_triangles,
     rule_exterior_zone,
@@ -32,6 +35,7 @@ from nestprohibitor.schemes import (
     Jump,
     NestScheme,
     RealScheme,
+    pi_delta,
 )
 
 from test_ledger import make_ledger
@@ -76,7 +80,7 @@ class TestLemma10:
         ledger = make_ledger(eps=(-1,) * 6, pi_plus=4, pi_minus=0)
         v = rule_lemma10(with_ledger(ledger))
         assert v.status == VIOLATED
-        assert v.evidence["residuals"][:4] == [-2, -2, -2, -6]
+        assert v.evidence["residuals"][:4] == (-2, -2, -2, -6)
 
     def test_deficit_minus_four_trace_ledger(self):
         ledger = make_ledger(
@@ -178,12 +182,11 @@ class TestBoundsReadOneValue:
 class TestExteriorZone:
     def test_zone_sets(self):
         ct = curve((ns(MINUS, 1, 1), "n"), (ns(MINUS, 1, 1), "n"), (ns(PLUS, 1, 1), "n"))
-        v = rule_exterior_zone(Candidate(curve_type=ct))
-        assert v.info == {"allowed": [3]}
+        assert allowed_zones(*ct.schemes) == (3,)
         ct2 = curve((ns(MINUS, 1, 1), "n"), (ns(PLUS, 1, 1), "n"), (ns(PLUS, 1, 1), "n"))
-        assert rule_exterior_zone(Candidate(curve_type=ct2)).info == {"allowed": []}
+        assert allowed_zones(*ct2.schemes) == ()
         ct3 = curve((ns(MINUS, 1, 1), "n"), (ns(MINUS, 1, 1), "n"), (ns(MINUS, 1, 1), "n"))
-        assert rule_exterior_zone(Candidate(curve_type=ct3)).info == {"allowed": [0]}
+        assert allowed_zones(*ct3.schemes) == (0,)
 
     def test_population_in_forbidden_zone(self):
         ct = curve((ns(MINUS, 1, 1), "n"), (ns(MINUS, 1, 1), "n"), (ns(PLUS, 1, 1), "n"))
@@ -253,9 +256,10 @@ class TestJump:
         )
 
     def test_case2_candidate_open(self):
-        v = rule_jump(Candidate(curve_type=self.make_case2_candidate()))
+        ct = self.make_case2_candidate()
+        v = rule_jump(Candidate(curve_type=ct))
         assert v.status == SATISFIED
-        assert v.info == {"open_cases": [2]}
+        assert jump_cases_open(pi_delta(ct.schemes), ct.schemes[2].nu, ct.jump.crossing) == [2]
 
     def test_all_even_jump_violates(self):
         ct = curve(
@@ -353,6 +357,7 @@ _JUMP_STAGE = {
     "reason": "every case requires Pi_delta in {3, 4} with matching sign data",
 }
 _JUMP_OPEN = {"pi_delta": 3, "open_cases": [2], "deficit": -1, "lambda045": 0, "lambda6": 1}
+_JUMP_SHUT = _moved(_JUMP_OPEN, lambda6=0)  # no case holds, whichever is open
 _REFINEMENT = {"lambda0": 3, "tier": "lemma16-refinement"}
 _NON_SEPARATING = {**_REFINEMENT, "reason": "non-separating nest"}
 _EPSILON_SUM = {**_REFINEMENT, "reason": "epsilon sum", "epsilon_sum": -4}
@@ -459,6 +464,10 @@ FORGERIES = [
     pytest.param("jump", _moved(_JUMP_OPEN, open_cases=[]), id="jump-no-open-case"),
     pytest.param("lemma10", _moved(_BUDGET, budget=-5), id="lemma10-negative-budget"),
     pytest.param("lemma10", _moved(_BUDGET, **{"lambda": [0]}), id="lemma10-one-lambda"),
+    # at Pi_delta 3 the engine writes one open case, [2] or [3]
+    pytest.param("jump", _moved(_JUMP_SHUT, open_cases=[2, 3]), id="jump-cases-2-3"),
+    pytest.param("jump", _moved(_JUMP_SHUT, open_cases=[3, 2]), id="jump-cases-3-2"),
+    pytest.param("jump", _moved(_JUMP_SHUT, open_cases=[2, 2]), id="jump-cases-2-2"),
 ]
 
 
@@ -497,6 +506,13 @@ class TestReplay:
         assert not replay_violation("separating", {**_SEPARATING, "extra": 0})
         assert not replay_violation("exterior_zone", _moved(_EXTERIOR, zone=0))
         assert not replay_violation("lemma10", {})
+        assert not replay_violation("lambda0_bound", [1])
+        assert not replay_violation("rm", json.loads('{"residual": Infinity}'))
+        deep = []
+        for _ in range(100_000):
+            deep = [deep]
+        assert not replay_violation("rm", {"residual": -8, "extra": deep})
+        assert not replay_violation("empty_triangles", {"schemes": [None, 1, "(+, -)"]})
 
     def test_unknown_rule_raises(self):
         with pytest.raises(KeyError):
