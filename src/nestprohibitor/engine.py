@@ -54,12 +54,10 @@ jumped chain may place single ovals in the triangles.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .ledger import OrientationLedger
 from .figures import FIG21_DISCREPANT_ROW, FIG21_PRINTED_VALUE, FIG21_TRIPLES
@@ -108,8 +106,7 @@ class EngineError(RuntimeError):
 # Chain branches
 
 
-@dataclass(frozen=True)
-class NestBranch:
+class NestBranch(NamedTuple):
     """One resolution of a nest's interior-chain contribution."""
 
     label: str
@@ -235,8 +232,7 @@ def jump_candidates(scheme: RealScheme) -> list[CurveType]:
 # Proof traces
 
 
-@dataclass(frozen=True)
-class Closure:
+class Closure(NamedTuple):
     """A rule closing `count` assignments.  `to_json_dict` returns a fresh
     dict; its `evidence` is the shared, read-only value, uncopied."""
 
@@ -248,8 +244,7 @@ class Closure:
         return {"rule": self.rule_id, "evidence": self.evidence, "count": self.count}
 
 
-@dataclass(frozen=True)
-class BranchRecord:
+class BranchRecord(NamedTuple):
     nests: tuple[str, str, str]
     closures: tuple[Closure, ...]
     solutions_checked: int
@@ -262,8 +257,7 @@ class BranchRecord:
         }
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(NamedTuple):
     candidate: str
     scheme: str
     outcome: str  # "eliminated" | "survives"
@@ -393,7 +387,7 @@ def _free_assignments(
         )
         nets = (spread((*net, 0, total)) for total, run in _net_levels(*key) for net in run)
         sequences[key] = itertools.tee(nets, 1)[0]
-    return copy.copy(sequences[key])
+    return sequences[key].__copy__()
 
 
 # The quadrangle zones adjacent to nest 0, 1 and 2.
@@ -754,8 +748,7 @@ def eliminate(
 # Theorem-level drivers
 
 
-@dataclass(frozen=True)
-class SchemeResult:
+class SchemeResult(NamedTuple):
     scheme: RealScheme
     traces: tuple[ProofTrace, ...]
 
@@ -779,8 +772,7 @@ class SchemeResult:
         }
 
 
-@dataclass(frozen=True)
-class ExclusionReport:
+class ExclusionReport(NamedTuple):
     results: tuple[SchemeResult, ...]
 
     @property
@@ -824,8 +816,7 @@ def prove_theorem1(
 # The bound-3 branch analysis (central triangle only exterior)
 
 
-@dataclass(frozen=True)
-class Prop2Row:
+class Prop2Row(NamedTuple):
     schemes: tuple[NestScheme, NestScheme, NestScheme]
     e0: int
     closed: bool
@@ -842,8 +833,7 @@ class Prop2Row:
         }
 
 
-@dataclass(frozen=True)
-class Prop2Report:
+class Prop2Report(NamedTuple):
     rows: tuple[Prop2Row, ...]
 
     @property

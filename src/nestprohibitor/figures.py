@@ -11,7 +11,7 @@ text, and tab separation for TSV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .orevkov import allowed_zones, e_values, f_value, g_value, nest_terms, second_formula_residual
 from .schemes import MINUS, PLUS, ComplexType, CurveType, NestScheme
@@ -19,13 +19,12 @@ from .schemes import MINUS, PLUS, ComplexType, CurveType, NestScheme
 FIGURE_IDS = (16, 17, 18, 19, 20, 21, 22)
 
 
-@dataclass(frozen=True)
-class Figure:
+class Figure(NamedTuple):
     number: int
     title: str
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
-    annotations: dict = field(default_factory=dict)
+    annotations: dict  # one dict per figure, so there is no shared default
 
 
 def _ns(nu: int, a_plus: int, a_minus: int) -> NestScheme:
@@ -117,12 +116,12 @@ def figure16() -> Figure:
         rows.append(
             (str(s), str(t.pi), str(t.pi_prime), str(t.big_n), str(t.big_m), str(g_value(s)))
         )
-    return Figure(16, "per-nest terms", ("S", "pi", "pi'", "N", "M", "G"), tuple(rows))
+    return Figure(16, "per-nest terms", ("S", "pi", "pi'", "N", "M", "G"), tuple(rows), {})
 
 
 def figure17() -> Figure:
     rows = tuple((str(ct), str(f_value(ct))) for ct in _FIG17_TYPES)
-    return Figure(17, "separating-nest constants", ("type", "F"), rows)
+    return Figure(17, "separating-nest constants", ("type", "F"), rows, {})
 
 
 def figure18() -> Figure:
@@ -140,6 +139,7 @@ def figure18() -> Figure:
         "exterior-placement residuals",
         ("S1", "S2", "S3", "E0", "E1", "E2", "E3", "Z"),
         tuple(rows),
+        {},
     )
 
 
@@ -148,7 +148,7 @@ def figure19() -> Figure:
     for sep, (sj, sk) in _FIG19_ROWS:
         rows.append((str(sep), str(sj), str(sk), str(second_formula_residual(sep, sj, sk))))
     return Figure(
-        19, "separating-nest residuals", ("type_i", "S_j", "S_k", "F-G-G"), tuple(rows)
+        19, "separating-nest residuals", ("type_i", "S_j", "S_k", "F-G-G"), tuple(rows), {}
     )
 
 
@@ -162,6 +162,7 @@ def figure20() -> Figure:
         "candidate types for all-even schemes",
         ("type1", "type2", "type3", "Z"),
         tuple(rows),
+        {},
     )
 
 
@@ -195,6 +196,7 @@ def figure22() -> Figure:
         "corner residuals for the surviving rows",
         ("S1", "S2", "S3", "E1", "E2", "E3"),
         tuple(rows),
+        {},
     )
 
 

@@ -11,15 +11,13 @@ Zone order everywhere: T0, Q1, Q2, Q3, T1, T2, T3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .schemes import DEGREE, OVALS
+from .schemes import DEGREE, OVALS, _checked
 
 ZONES = ("T0", "Q1", "Q2", "Q3", "T1", "T2", "T3")
 
-# The fields of a ledger's JSON object, in JSON order, each with the
-# ledger attribute it holds and the type of its value: a list in JSON is a
-# tuple of ints in the ledger.
+# The fields of a ledger's JSON object, in JSON order (the ledger's field
+# order too), each with the ledger attribute it holds and the type of its
+# value: a list in JSON is a tuple of ints in the ledger.
 _FIELDS = {
     "lambda": ("lam", list),
     "epsilon": ("eps", list),
@@ -35,21 +33,15 @@ class LedgerError(ValueError):
     """Raised when a ledger violates its structural invariants."""
 
 
-@dataclass(frozen=True)
-class OrientationLedger:
+class OrientationLedger(_checked("OrientationLedger", [a for a, _ in _FIELDS.values()])):
     """Orientation bookkeeping for one base-oval choice."""
 
-    lam: tuple[int, int, int, int, int, int, int]
-    eps: tuple[int, int, int, int, int, int]
-    lambda_plus: int
-    lambda_minus: int
-    pi_plus: int
-    pi_minus: int
-    zone_pop: tuple[int, int, int, int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, (attr, kind) in _FIELDS.items():
-            value = getattr(self, attr)
+    def __new__(cls, lam: tuple[int, ...], eps: tuple[int, ...], lambda_plus: int,
+                lambda_minus: int, pi_plus: int, pi_minus: int, zone_pop: tuple[int, ...]):
+        self = tuple.__new__(cls, (lam, eps, lambda_plus, lambda_minus, pi_plus, pi_minus, zone_pop))
+        for (name, (_, kind)), value in zip(_FIELDS.items(), self):
             if kind is list:
                 if type(value) is not tuple or any(type(v) is not int for v in value):
                     raise LedgerError(
@@ -57,10 +49,11 @@ class OrientationLedger:
                     )
             elif type(value) is not int:
                 raise LedgerError(f"field {name!r} must be an integer")
-        if len(self.lam) != 7 or len(self.zone_pop) != 7 or len(self.eps) != 6:
+        if len(lam) != 7 or len(zone_pop) != 7 or len(eps) != 6:
             raise LedgerError("lambda and populations have 7 entries, epsilon 6")
-        if any(e not in (1, -1) for e in self.eps):
+        if any(e not in (1, -1) for e in eps):
             raise LedgerError("epsilon entries are signs")
+        return self
 
     @property
     def lambda_delta(self) -> int:

@@ -13,32 +13,27 @@ pair counts on import; any disagreement aborts loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .schemes import MINUS, PLUS, ComplexType, NestScheme
+from .schemes import MINUS, PLUS, ComplexType, NestScheme, _checked
 
 
 class OrevkovError(ValueError):
     """Raised when an operation's depth/tag preconditions fail."""
 
 
-@dataclass(frozen=True)
-class OrevkovTerms:
+class OrevkovTerms(_checked("OrevkovTerms", "pi pi_prime big_n big_m")):
     """Scheme-level terms (pi, pi', N, M) of one depth-2 nest; none of them
     depends on the base-oval sign convention."""
 
-    pi: int
-    pi_prime: int
-    big_n: int
-    big_m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.big_n + self.big_m != 1:
+    def __new__(cls, pi: int, pi_prime: int, big_n: int, big_m: int):
+        if big_n + big_m != 1:
             raise OrevkovError("exactly one of N, M is 1")
-        if self.big_n and self.pi_prime != 0:
+        if big_n and pi_prime != 0:
             raise OrevkovError("a positive non-empty oval forces pi' = 0")
-        if self.big_m and self.pi != 0:
+        if big_m and pi != 0:
             raise OrevkovError("a negative non-empty oval forces pi = 0")
+        return tuple.__new__(cls, (pi, pi_prime, big_n, big_m))
 
 
 def _terms(scheme: NestScheme) -> tuple[int, int, int, int]:

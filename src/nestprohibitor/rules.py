@@ -22,8 +22,7 @@ call them; replay re-runs one on the inputs the evidence records.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .ledger import OrientationLedger, lambda_deficit, lemma10_residuals, rm_residual
 from .orevkov import e_values, f_value, g_value
@@ -33,6 +32,7 @@ from .schemes import (
     PLUS,
     CurveType,
     NestScheme,
+    _checked,
     _parse_short_scheme,
     pi_delta,
 )
@@ -58,8 +58,7 @@ class Evidence(dict):
         return dict, (dict(self),)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """Everything a rule may look at; unset parts make rules inapplicable."""
 
     curve_type: Optional[CurveType] = None
@@ -74,27 +73,34 @@ class Candidate:
     exterior_triangle_pops: Optional[tuple[int, int, int, int]] = None
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
-    rule_id: str
-    status: str
-    evidence: Optional[Evidence] = None
+class RuleVerdict(_checked("RuleVerdict", "rule_id status evidence")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.status == VIOLATED) != (self.evidence is not None):
+    def __new__(cls, rule_id: str, status: str, evidence: Optional[Evidence] = None):
+        if (status == VIOLATED) != (evidence is not None):
             raise ValueError("evidence must be present exactly when violated")
+        return tuple.__new__(cls, (rule_id, status, evidence))
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     rule_id: str
     citation: str
     hypothesis: str
     statement: str
-    check: Callable[[Candidate], RuleVerdict] = field(compare=False)
+    check: Callable[[Candidate], RuleVerdict]
 
     def __call__(self, candidate: Candidate) -> RuleVerdict:
         return self.check(candidate)
+
+    # a rule is its four texts: `check` takes no part in equality or hash
+    def __eq__(self, other):
+        return type(other) is Rule and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
 
 
 def _judged(rule_id: str, violation: Optional[Evidence]) -> RuleVerdict:

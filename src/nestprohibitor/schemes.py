@@ -8,12 +8,12 @@ for its non-empty oval and a (positive, negative) split of its interior
 ovals, and a curve-level record may carry the single admissible "jump" in
 one nest's oval chain.
 
-Everything is an immutable value; all operations are pure.
+Everything is an immutable value, a named tuple; all operations are pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable, Optional
 
 DEGREE = 9
@@ -54,31 +54,47 @@ def _ints(*values) -> bool:
     return all(type(v) is int for v in values)
 
 
+def _checked(name: str, fields) -> type:
+    """The named-tuple base of a value type whose `__new__` checks its
+    fields.  `_make`, and so `_replace`, copy, deepcopy and pickle call
+    that constructor, so no value skips its checks."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base.__reduce__ = lambda self: (type(self), tuple(self))
+    return base
+
+
+def _frozen(self, *args):
+    """`__setattr__` of a value type that keeps derived fields beside its tuple."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 # ---------------------------------------------------------------------------
 # Real schemes
 
 
-@dataclass(frozen=True, order=True)
-class RealScheme:
+class RealScheme(_checked("RealScheme", "alpha beta")):
     """Isotopy type <J + 1<a1> + 1<a2> + 1<a3> + b>, nests in stored order."""
 
-    alpha: tuple[int, int, int]
-    beta: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.alpha) != 3:
+    def __new__(cls, alpha: tuple[int, int, int], beta: int):
+        if type(alpha) is not tuple:  # a value is a tuple, but not of counts
+            raise SchemeInvariantError(f"alpha {alpha!r} is not a tuple")
+        if len(alpha) != 3:
             raise SchemeArityError("exactly three nests are required")
-        if not _ints(*self.alpha, self.beta):
+        if not _ints(*alpha, beta):
             raise SchemeInvariantError("alpha and beta must be ints")
-        if any(a < 1 for a in self.alpha):
+        if any(a < 1 for a in alpha):
             raise SchemeInvariantError("every nest must contain at least one empty oval")
-        if self.beta < 0:
+        if beta < 0:
             raise SchemeInvariantError("beta must be non-negative")
-        if sum(self.alpha) + self.beta != EMPTY_OVALS:
+        if sum(alpha) + beta != EMPTY_OVALS:
             raise SchemeInvariantError(
                 f"alpha_1+alpha_2+alpha_3+beta must be {EMPTY_OVALS}, "
-                f"got {sum(self.alpha) + self.beta}"
+                f"got {sum(alpha) + beta}"
             )
+        return tuple.__new__(cls, (alpha, beta))
 
     @property
     def is_canonical(self) -> bool:
@@ -209,11 +225,9 @@ def parse_real_scheme(text: str, strict: bool = True) -> RealScheme:
         )
     if strict:
         return RealScheme((alphas[0], alphas[1], alphas[2]), beta)
-    # Relaxed construction bypasses the dataclass total check.
-    scheme = object.__new__(RealScheme)
-    object.__setattr__(scheme, "alpha", (alphas[0], alphas[1], alphas[2]))
-    object.__setattr__(scheme, "beta", beta)
-    return scheme
+    # The one value built without its constructor's checks: the total is
+    # off, and copying the value or calling `_replace` on it raises.
+    return tuple.__new__(RealScheme, ((alphas[0], alphas[1], alphas[2]), beta))
 
 
 def enumerate_three_nest_schemes(
@@ -241,25 +255,23 @@ def enumerate_three_nest_schemes(
 # Nest complex schemes
 
 
-@dataclass(frozen=True, order=True)
-class NestScheme:
+class NestScheme(_checked("NestScheme", "nu a_plus a_minus")):
     """Complex scheme of one nest: non-empty oval sign and interior split."""
 
-    nu: int
-    a_plus: int
-    a_minus: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not _ints(self.nu, self.a_plus, self.a_minus):
+    def __new__(cls, nu: int, a_plus: int, a_minus: int):
+        if not _ints(nu, a_plus, a_minus):
             raise SchemeInvariantError("nu, a_plus and a_minus must be ints")
-        if self.nu not in (PLUS, MINUS):
+        if nu not in (PLUS, MINUS):
             raise SchemeInvariantError("nu must be +1 or -1")
-        if self.a_plus < 0 or self.a_minus < 0:
+        if a_plus < 0 or a_minus < 0:
             raise SchemeInvariantError("interior counts must be non-negative")
-        if self.alpha < 1:
+        if a_plus + a_minus < 1:
             raise SchemeInvariantError("a nest holds at least one interior oval")
-        if abs(self.diff) > 2:
+        if abs(a_plus - a_minus) > 2:
             raise SchemeInvariantError("|a_plus - a_minus| must be at most 2")
+        return tuple.__new__(cls, (nu, a_plus, a_minus))
 
     @property
     def alpha(self) -> int:
@@ -331,37 +343,37 @@ TAGS = ("n", "s", "u", "d")
 SEPARATING_TAGS = ("s", "u", "d")
 
 
-@dataclass(frozen=True, order=True)
-class ComplexType:
+class ComplexType(_checked("ComplexType", "scheme tag")):
     """A nest's complex scheme plus its separating/up/down tag.
 
     Tags: "n" non-separating (always admissible), "s" separating with an odd
     interior count, "u"/"d" separating with an even interior count, named by
     the sign of the chain extreme that sits on the central-triangle side
     ("u" when that extreme is negative, "d" when it is positive).
+    The text of `__str__`, `_text`, is set once, after the check, outside
+    equality, hash, order and repr.
     """
 
-    scheme: NestScheme
-    tag: str
-    # the text of `__str__`, set once, after the check
-    _text: str = field(init=False, repr=False, compare=False)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        if not isinstance(self.scheme, NestScheme):
-            raise SchemeInvariantError(f"scheme {self.scheme!r} is not a NestScheme")
-        if self.tag not in TAGS:
-            raise SchemeInvariantError(f"unknown tag {self.tag!r}")
-        if self.tag in ("u", "d"):
-            if self.scheme.alpha % 2:
+    def __new__(cls, scheme: NestScheme, tag: str):
+        if not isinstance(scheme, NestScheme):
+            raise SchemeInvariantError(f"scheme {scheme!r} is not a NestScheme")
+        if tag not in TAGS:
+            raise SchemeInvariantError(f"unknown tag {tag!r}")
+        if tag in ("u", "d"):
+            if scheme.alpha % 2:
                 raise SchemeInvariantError("tags u/d require an even nest")
-            if self.scheme.diff != 0:
+            if scheme.diff != 0:
                 raise SchemeInvariantError("a separating even nest is balanced")
-        if self.tag == "s":
-            if self.scheme.alpha % 2 == 0:
+        if tag == "s":
+            if scheme.alpha % 2 == 0:
                 raise SchemeInvariantError("tag s requires an odd nest")
-            if abs(self.scheme.diff) != 1:
+            if abs(scheme.diff) != 1:
                 raise SchemeInvariantError("a separating odd nest has imbalance 1")
-        object.__setattr__(self, "_text", f"({', '.join(_signs(self.scheme) + [self.tag])})")
+        self = tuple.__new__(cls, (scheme, tag))
+        object.__setattr__(self, "_text", f"({', '.join(_signs(scheme) + [tag])})")
+        return self
 
     @property
     def separating(self) -> bool:
@@ -399,8 +411,7 @@ def nest_complex_types(alpha: int, jump_allowed: bool = False) -> list[ComplexTy
 # Curve complex types
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(_checked("Jump", "repartition crossing")):
     """The single admissible chain interruption, fixed in nest 3.
 
     The sweep through the jumped nest meets an interior group, an exterior
@@ -410,37 +421,35 @@ class Jump:
     crossing=None leaves the crossing/non-crossing alternative open.
     """
 
-    repartition: tuple[int, int, int] = (1, 1, 1)
-    crossing: Optional[bool] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        r = self.repartition
-        if len(r) != 3 or not _ints(*r) or min(r) < 1:
+    def __new__(cls, repartition: tuple[int, int, int] = (1, 1, 1),
+                crossing: Optional[bool] = None):
+        r = repartition
+        if type(r) is not tuple or len(r) != 3 or not _ints(*r) or min(r) < 1:
             raise SchemeInvariantError("repartition sizes must be three positive ints")
-        if not any(self.crossing is v for v in (None, True, False)):  # by identity: 0 == False
-            raise SchemeInvariantError(f"crossing {self.crossing!r} is not None, True or False")
+        if not any(crossing is v for v in (None, True, False)):  # by identity: 0 == False
+            raise SchemeInvariantError(f"crossing {crossing!r} is not None, True or False")
+        return tuple.__new__(cls, (repartition, crossing))
 
     @property
     def all_odd(self) -> bool:
         return all(l % 2 for l in self.repartition)
 
 
-@dataclass(frozen=True)
-class CurveType:
+class CurveType(_checked("CurveType", "nests jump")):
     """Complex type of the whole curve: three nest types plus optional jump.
 
     The search and the rules read the nest schemes of every candidate; the
     enumerator sorts and deduplicates candidates by text, and each trace
-    records it.  So the constructor sets both once, after its check."""
+    records it.  So the constructor sets both once, after its check, as
+    `schemes` and `_text`, outside equality, hash and repr."""
 
-    nests: tuple[ComplexType, ComplexType, ComplexType]
-    jump: Optional[Jump] = None
-    schemes: tuple[NestScheme, ...] = field(init=False, repr=False, compare=False)
-    _text: str = field(init=False, repr=False, compare=False)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        nests, jump = self.nests, self.jump
-        if not isinstance(nests, tuple):
+    def __new__(cls, nests: tuple[ComplexType, ComplexType, ComplexType],
+                jump: Optional[Jump] = None):
+        if type(nests) is not tuple:
             raise SchemeInvariantError("the nests of a curve type are a tuple")
         if len(nests) != 3:
             raise SchemeArityError("a curve type lists exactly three nests")
@@ -468,12 +477,14 @@ class CurveType:
                 )
             if odd and not two:
                 raise SchemeInvariantError("an all-odd repartition forces interior imbalance 2")
+        self = tuple.__new__(cls, (nests, jump))
         object.__setattr__(self, "schemes", schemes)
         body = f"{c1._text}, {c2._text}, {c3._text}"
         if jump is not None:
             cross = {None: "?", True: "crossing", False: "non-crossing"}[jump.crossing]
             body = f"{body} | jump {jump.repartition} {cross}"
         object.__setattr__(self, "_text", f"[{body}]")
+        return self
 
     def __str__(self) -> str:
         return self._text

@@ -1,6 +1,28 @@
-"""The package's public surface: every exported name resolves."""
+"""The package's public surface: every exported name resolves, the import
+stays light, and no value of a checked type skips its constructor."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
+import pytest
 
 import nestprohibitor
+from nestprohibitor.ledger import LedgerError, OrientationLedger
+from nestprohibitor.orevkov import OrevkovError, OrevkovTerms
+from nestprohibitor.rules import VIOLATED, Evidence, RuleVerdict
+from nestprohibitor.schemes import (
+    MINUS,
+    PLUS,
+    ComplexType,
+    CurveType,
+    Jump,
+    NestScheme,
+    RealScheme,
+    SchemeInvariantError,
+)
 
 
 def test_star_import_binds_every_exported_name():
@@ -8,3 +30,96 @@ def test_star_import_binds_every_exported_name():
     exec("from nestprohibitor import *", namespace)
     for name in nestprohibitor.__all__:
         assert namespace[name] is getattr(nestprohibitor, name)
+
+
+def test_import_loads_no_dataclass_machinery():
+    # Only what the import adds counts: the interpreter may load any of
+    # these at start-up (a site hook, say).
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import nestprohibitor\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(nestprohibitor.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "nestprohibitor.engine" in out
+    assert {"dataclasses", "inspect", "copy"}.isdisjoint(out), out
+
+
+_JUMPED = CurveType(
+    (
+        ComplexType(NestScheme(PLUS, 1, 1), "d"),
+        ComplexType(NestScheme(MINUS, 0, 1), "s"),
+        ComplexType(NestScheme(PLUS, 0, 2), "n"),
+    ),
+    Jump((1, 1, 1)),
+)
+_LEDGER = OrientationLedger(
+    (1, 0, 0, 0, 1, 1, 1), (1, 1, 1, -1, -1, -1), 16, 12, 0, 0, (1, 0, 0, 0, 1, 1, 1)
+)
+
+# Each checked type: a valid value, the fields of an invalid one, and the
+# constructor's error for them.
+CHECKED = [
+    (RealScheme((2, 2, 20), 1), ((1, 1, 1), 1), SchemeInvariantError),
+    (NestScheme(PLUS, 1, 1), (PLUS, 3, 0), SchemeInvariantError),
+    (ComplexType(NestScheme(PLUS, 1, 1), "d"), (NestScheme(PLUS, 1, 1), "s"), SchemeInvariantError),
+    (Jump((1, 2, 1), True), ((1, 1, 1), 0), SchemeInvariantError),
+    (_JUMPED, (_JUMPED.nests, None), SchemeInvariantError),
+    (_LEDGER, (_LEDGER.lam, (1, 1, 1, -1, -1, 0), *_LEDGER[2:]), LedgerError),
+    (OrevkovTerms(-1, 0, 1, 0), (0, 0, 1, 1), OrevkovError),
+    (RuleVerdict("rm", VIOLATED, Evidence({"residual": 2})), ("rm", VIOLATED, None), ValueError),
+]
+IDS = [type(valid).__name__ for valid, _, _ in CHECKED]
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+def _derived(value) -> dict:
+    """The fields a constructor sets beside the tuple, if any."""
+    return dict(getattr(value, "__dict__", {}))
+
+
+class TestCheckedConstructors:
+    @pytest.mark.parametrize("valid, invalid, error", CHECKED, ids=IDS)
+    def test_make_and_replace_check(self, valid, invalid, error):
+        cls = type(valid)
+        assert cls._make(tuple(valid)) == valid and cls._make(valid) == valid
+        assert valid._replace() == valid
+        with pytest.raises(error):
+            cls._make(invalid)
+        with pytest.raises(error):
+            valid._replace(**dict(zip(cls._fields, invalid)))
+
+    @pytest.mark.parametrize("how", COPIES)
+    @pytest.mark.parametrize("valid, invalid, error", CHECKED, ids=IDS)
+    def test_copies_are_rebuilt_by_the_constructor(self, valid, invalid, error, how):
+        cls = type(valid)
+        derived = _derived(valid)
+        # a copy of a value whose derived fields were overwritten gets its own
+        tampered = tuple.__new__(cls, valid)
+        for name in derived:
+            object.__setattr__(tampered, name, None)
+        for value in (valid, tampered):
+            copied = COPIES[how](value)
+            assert type(copied) is cls and copied == valid and copied is not valid
+            assert _derived(copied) == derived
+        with pytest.raises(error):
+            COPIES[how](tuple.__new__(cls, invalid))
+
+    @pytest.mark.parametrize("valid, invalid, error", CHECKED, ids=IDS)
+    def test_values_are_immutable(self, valid, invalid, error):
+        with pytest.raises(AttributeError):
+            setattr(valid, type(valid)._fields[0], invalid[0])
+        with pytest.raises(AttributeError):
+            valid.extra = 1
+        for name in _derived(valid):
+            with pytest.raises(AttributeError):
+                setattr(valid, name, None)

@@ -306,6 +306,12 @@ class TestCatalog:
             assert rule.rule_id == rule_id
             assert rule.citation and rule.hypothesis and rule.statement
 
+    def test_rule_equality_ignores_the_check(self):
+        rule = RULES["rm"]
+        other = rule._replace(check=RULES["jump"].check)
+        assert rule == other and not rule != other and hash(rule) == hash(other)
+        assert rule != rule._replace(statement="") and rule != tuple(rule)
+
     def test_evaluate_all_ablation(self):
         out = evaluate_all(Candidate(), ablate=("rm",))
         assert "rm" not in out and "lemma10" in out

@@ -1,6 +1,6 @@
 """Scheme model: parser, formatter, enumerators and their invariants."""
 
-import dataclasses
+import copy
 
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +84,14 @@ class TestParse:
     def test_bad_total_relaxed(self):
         s = parse_real_scheme("<J + 1<1> + 1<1> + 1<1> + 1>", strict=False)
         assert s.alpha == (1, 1, 1) and s.beta == 1
+        assert str(s) == "<J + 1<1> + 1<1> + 1<1> + 1>"
+        assert repr(s) == "RealScheme(alpha=(1, 1, 1), beta=1)"
+        assert type(s) is RealScheme and s == ((1, 1, 1), 1)
+        assert s == parse_real_scheme("<J+1<1>+1<1>+1<1>+1>", strict=False)
+        # the one unchecked value: rebuilding it runs the check it skipped
+        for rebuild in (copy.copy, RealScheme._replace, RealScheme._make):
+            with pytest.raises(SchemeInvariantError):
+                rebuild(s)
 
     def test_nests_kept_in_written_order(self):
         s = parse_real_scheme("<J + 1<20> + 1<2> + 1<2> + 1>")
@@ -259,11 +267,16 @@ class TestConstructorChecks:
             lambda: CurveType((N_TYPE, N_TYPE, N_TYPE), (1, 1, 1)),
             lambda: CurveType([N_TYPE, N_TYPE, N_TYPE]),
             lambda: CurveType((N_TYPE, N_TYPE, NestScheme(PLUS, 1, 1))),
+            # a value is a tuple too, but not one of counts
+            lambda: RealScheme(NestScheme(PLUS, 1, 1), 22),
+            lambda: Jump(NestScheme(PLUS, 1, 1)),
+            lambda: CurveType(CurveType((N_TYPE, N_TYPE, N_TYPE))),
         ],
         ids=[
             "alpha-float", "beta-bool", "nu-bool", "a_plus-float", "a_minus-bool",
             "repartition-float", "crossing-zero", "crossing-one", "crossing-string",
             "scheme-tuple", "jump-tuple", "nests-list", "nest-scheme",
+            "alpha-value", "repartition-value", "nests-value",
         ],
     )
     def test_loose_value_rejected(self, build):
@@ -304,13 +317,13 @@ class TestDerivedFields:
 
     def test_replace_rebuilds_the_derived_fields(self):
         c = _jumped_curve_type()
-        crossing = dataclasses.replace(c, jump=Jump((1, 1, 1), crossing=True))
+        crossing = c._replace(jump=Jump((1, 1, 1), crossing=True))
         assert str(crossing) == "[(+, d), (-, -, s), (+, -, -, n) | jump (1, 1, 1) crossing]"
         nests = (ComplexType(NestScheme(MINUS, 1, 1), "u"), *c.nests[1:])
-        moved = dataclasses.replace(c, nests=nests)
+        moved = c._replace(nests=nests)
         assert str(moved) == "[(-, u), (-, -, s), (+, -, -, n) | jump (1, 1, 1) ?]"
         assert moved.schemes == (NestScheme(MINUS, 1, 1), *c.schemes[1:])
-        ct = dataclasses.replace(c.nests[0], tag="n")
+        ct = c.nests[0]._replace(tag="n")
         assert str(ct) == "(+, n)"
 
 
