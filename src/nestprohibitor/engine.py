@@ -27,20 +27,28 @@ and budget, the ledger's `evaluate_all`) read the ablated ids.  The stage
 screen (jump trichotomy, then separating formula) runs first; only a
 candidate it leaves open is searched, by one function (`_search`) that
 computes what varies per candidate, then loops over the chain branches,
-and inside each over the exterior nets, each value bound at the loop
-where it varies.  Every branch that asks for the same (free zones,
-budget, deficit) key replays one net sequence, built only as far as some
-branch reads it; each net in it is built once, as its triangle values and
-oval count, and read as built.  The lambda_0 and corner bounds are decided
-from value tables, value -> closure key.  This is exact because
-`_lambda0_violation` reads only lambda_0 unless |lambda_0| = 3, and
-`_triangle_violation` reads only the corner value unless it is 3; only
-such a net builds the predicate's argument tuple.  That tuple, like the
-jump tier's and the oval budget's, goes through a memo, so each predicate
-runs once per distinct input in the scheme.  The budget test runs inline,
-and a ledger is built only for a net within budget (or any net with
-lemma10 ablated).  Closures merge by evidence, not by predicate inputs,
-and are listed in the order of their first net.
+each value bound at the loop where it varies.  Every branch that asks
+for the same (free zones, budget, deficit) key replays one net sequence,
+built only as far as some branch reads it; each net in it is built once,
+as its triangle values and oval count, and read as built.  The checks
+that read only a net and the branch's screen key (free zones, Pi_delta,
+deficit, chain shares of lambda_0 and lambda_4..lambda_6, jump tier,
+empty-triangle closure) run once per key, in a screen that every branch
+of the key replays as runs of (closure key, count), split at each net it
+leaves open: empty triangles, the jump tier, lambda_0 off |lambda_0| = 3,
+the corners.  The branch checks the open nets itself: the |lambda_0| = 3
+refinement, the oval budget, then a ledger, built only for a net within
+budget (or any net with lemma10 ablated).  The lambda_0 and corner
+bounds are decided from value tables, value -> closure key.  This is
+exact because `_lambda0_violation` reads only lambda_0 unless
+|lambda_0| = 3, and `_triangle_violation` reads only the corner value
+unless it is 3; only such a net builds the predicate's argument tuple.
+That tuple, like the jump tier's and the oval budget's, goes through a
+memo, so each predicate runs once per distinct input in the scheme.  An
+eliminated branch that built no ledger keeps its closures under the
+screen key, with what its open nets read if there were any; a later
+branch of that key reuses them.  Closures merge by evidence, not by
+predicate inputs, and are listed in the order of their first net.
 
 Interior-chain model (the engine's central commitment, validated against
 the reproduced intermediate values): a separating even nest either
@@ -60,7 +68,6 @@ import operator
 from typing import Iterator, NamedTuple, Optional
 
 from .ledger import OrientationLedger
-from .figures import FIG21_DISCREPANT_ROW, FIG21_PRINTED_VALUE, FIG21_TRIPLES
 from .orevkov import allowed_zones, e_values, f_value, g_value
 from .rules import (
     Candidate,
@@ -85,6 +92,7 @@ from .schemes import (
     EMPTY_OVALS,
     MINUS,
     OVALS,
+    PLUS,
     ComplexType,
     CurveType,
     Jump,
@@ -445,9 +453,11 @@ class _SchemeTables:
     the numeric jump tier per (Pi_delta, nu3, crossing).  The lambda_0 and
     corner bounds are keyed by their value alone, but for |lambda_0| = 3
     and a corner value 3 (_REFINED), which read more of the net.  `nets`
-    holds the net sequences, one per (free zones, budget, deficit).  No
-    memo refers to the tables, so they need no cycle collector to be
-    freed.
+    holds the net sequences, one per (free zones, budget, deficit),
+    `screens` the net screens per screen key, and `eliminated` the
+    (closures, nets checked) of each eliminated branch key (see `_search`).
+    No memo refers to the tables, so they need no cycle collector to be
+    freed: a screen gets the memos it reads, not the tables.
     """
 
     def __init__(self, scheme: RealScheme, ablate: tuple[str, ...]):
@@ -482,6 +492,59 @@ class _SchemeTables:
         self.corner_refined = _Memo(lambda a: key_of("triangle_bound", _triangle_violation(*a)))
         self.over_budget = _Memo(lambda a: key_of("lemma10", _budget_violation(a[0], beta, a[1:])))
         self.nets: dict[tuple, Iterator[tuple[int, ...]]] = {}
+        self.screens: dict[tuple, Iterator[tuple]] = {}
+        self.eliminated: dict[tuple, tuple[tuple[Closure, ...], int]] = {}
+
+    def screen(self, key: tuple) -> Iterator[tuple]:
+        """A copy of the `_screen` of `key` (free zones, Pi_delta, deficit rhs,
+        sh0, t4..t6, jump key, empty key), built from the key alone."""
+        if key not in self.screens:
+            zones, _, deficit_rhs, sh0, t4, t5, t6, jump, empty_key = key
+            screen = _screen(
+                _free_assignments(zones, self.beta, deficit_rhs, self.nets), sh0, t4, t5, t6,
+                self.jumps[jump][1] if jump else None, empty_key,
+                self.lambda0_of, self.corners_of, self.corner_refined,
+            )
+            self.screens[key] = itertools.tee(screen, 1)[0]
+        return self.screens[key].__copy__()
+
+
+def _screen(nets, sh0, t4, t5, t6, jump_of, empty_key, lambda0_of, corners, corner_refined):
+    """`_search`'s checks of one net sequence that read only the net and the
+    screen key: empty triangles, the jump tier, lambda_0, the corners.
+
+    A net none closes, or with |lambda_0| = 3, is left open.  Yields
+    (runs, seen, net, corner) at each open net and at the end: the (closure
+    key, count) pairs of the nets closed since the last yield, in first-net
+    order; the nets read; the open net's record and corner closure key, or
+    None and None at the end.
+    """
+    runs: dict[tuple, int] = {}
+    seen = 0
+    for seen, net in enumerate(nets, 1):
+        x0, x1, x2, x3, ovals = net
+        lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
+        deficit = lam0 - lam4 - lam5 - lam6
+        key = None if ovals else empty_key  # the list rule on genuinely empty nets
+        if not key and jump_of is not None:
+            key = jump_of[deficit, lam0 - lam4 - lam5, lam6]
+        refined = False
+        if not key:
+            key = lambda0_of[lam0]
+            refined = key is _REFINED
+            if refined or not key:
+                for zone, corner, value in zip((1, 2, 3), corners, (lam4, lam5, lam6)):
+                    key = corner[value]
+                    if key is _REFINED:
+                        key = corner_refined[value, deficit, zone]
+                    if key:
+                        break
+        if key and not refined:
+            runs[key] = runs.get(key, 0) + 1
+        else:
+            yield tuple(runs.items()), seen, net, key
+            runs.clear()
+    yield tuple(runs.items()), seen, None, None
 
 
 def _stage_closures(curve_type: CurveType, pd: int, tables: _SchemeTables) -> tuple[Closure, ...]:
@@ -509,11 +572,14 @@ def _search(
     the order empty triangles, jump, lambda_0, the corners T1..T3, then the
     oval budget of lemma10; a net none closes goes on to a ledger build,
     and the first ledger every rule accepts is the witness and ends the
-    search.  Closures merge by evidence, not by the predicate inputs that
-    produced it: with `lemma10` ablated, nets of different deficits with
-    lambda_4 = 5 share one corner evidence, which records no deficit, and
-    count as one closure.  Closures are listed in the order of their first
-    net.
+    search.  A branch replays the `_screen` of its key and checks only the
+    nets it leaves open, unless an eliminated branch that built no ledger
+    recorded its closures and count under its key: the screen key when the
+    screen left no net open, else that and what the open nets read.
+    Closures merge by evidence, not by the predicate inputs that produced
+    it: with `lemma10` ablated, nets of different deficits with lambda_4 = 5
+    share one corner evidence, which records no deficit, and count as one
+    closure.  Closures are listed in the order of their first net.
     """
     jump = curve_type.jump
     per_nest = [
@@ -530,12 +596,9 @@ def _search(
     empty_closed = None
     if empty_key and (not zones or beta == 0):
         empty_closed = (tables.closure_of[empty_key, 1],)
-    jump_of = None
-    if jump is not None:
-        _, jump_of = tables.jumps[pd, schemes[2].nu, jump.crossing]
+    jump_key = (pd, schemes[2].nu, jump.crossing) if jump is not None else None
     identities = tables.identities
-    lambda0_of = tables.lambda0_of
-    corner1, corner2, corner3 = tables.corners_of
+    eliminated = tables.eliminated
     closure_of = tables.closure_of.__getitem__
 
     records = []
@@ -561,42 +624,34 @@ def _search(
         w1, w2, w3 = b2.w[0] + b3.w[0], b1.w[0] + b3.w[1], b1.w[1] + b2.w[1]
         q1, q2, q3 = w1 == 0, w2 == 0, w3 == 0
         deficit_rhs = pd - 4 - (sh0 - t4 - t5 - t6) if identities else None
-        branch_empty_key = empty_key if no_pop else None
+        screen_key = (
+            zones, pd, deficit_rhs, sh0, t4, t5, t6, jump_key, empty_key if no_pop else None
+        )
+        problem_key = (screen_key, rhs1, rhs2, rhs3, w1, w2, w3, all_sep, eps_sum)
+        hit = eliminated.get(screen_key) or eliminated.get(problem_key)
+        if hit:
+            records.append(BranchRecord(labels, *hit))
+            continue
+
+        memo_key = screen_key  # what the branch's closures read so far
         tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
-        checked = 0
-        for x0, x1, x2, x3, ovals in _free_assignments(zones, beta, deficit_rhs, tables.nets):
-            checked += 1
+        for runs, checked, net, key in tables.screen(screen_key):
+            for run_key, count in runs:
+                tally[run_key] = tally.get(run_key, 0) + count
+            if net is None:
+                break
+            x0, x1, x2, x3, ovals = net
             lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
+            memo_key = memo_key and problem_key  # an open net reads the branch
 
-            # Empty-triangle list rule on genuinely empty nets.
-            if branch_empty_key and not ovals:
-                tally[branch_empty_key] = tally.get(branch_empty_key, 0) + 1
-                continue
-
-            # Jump trichotomy, numeric tier.
-            deficit = lam0 - lam4 - lam5 - lam6
-            if jump_of is not None:
-                key = jump_of[deficit, lam0 - lam4 - lam5, lam6]
-                if key:
-                    tally[key] = tally.get(key, 0) + 1
-                    continue
-
-            # Central-triangle bound; at magnitude 3 its refinements read the
-            # branch and which quadrangles the identities leave empty.
-            key = lambda0_of[lam0]
-            if key is _REFINED:
+            # At magnitude 3 the central-triangle bound's refinements read
+            # the branch and which quadrangles the identities leave empty;
+            # else the screen's corner closure applies.
+            if lam0 in (3, -3):
                 key = tables.lambda0_refined[
                     lam0, all_sep, eps_sum, q1 and rhs1 - lam0 + lam4 == 0,
                     q2 and rhs2 - lam0 + lam5 == 0, q3 and rhs3 - lam0 + lam6 == 0
-                ]
-            if key:
-                tally[key] = tally.get(key, 0) + 1
-                continue
-
-            # Corner-triangle bounds, T1..T3; a value 3 also reads the deficit.
-            key = corner1[lam4] or corner2[lam5] or corner3[lam6]
-            if key is _REFINED:
-                key = _refined_corner(tables, (lam4, lam5, lam6), deficit)
+                ] or key
             if key:
                 tally[key] = tally.get(key, 0) + 1
                 continue
@@ -613,8 +668,9 @@ def _search(
                 tally[key] = tally.get(key, 0) + 1
                 continue
 
+            memo_key = None  # a ledger reads all of the branch
             witness = _feasible_ledger(
-                curve_type, tables, pd, branches, (x0, x1, x2, x3, ovals), (w1, w2, w3),
+                curve_type, tables, pd, branches, net, (w1, w2, w3),
                 lam0, (lam4, lam5, lam6), (p1, p2, p3) if required <= beta else None, tally,
             )
             if witness is not None:
@@ -627,21 +683,11 @@ def _search(
                 "lemma10", _deficit_identity_violation(pd - 4, sh0 - t4 - t5 - t6)
             )
             tally[key] = tally.get(key, 0) + 1
-        records.append(BranchRecord(labels, tuple(map(closure_of, tally.items())), checked))
+        closures = tuple(map(closure_of, tally.items()))
+        if memo_key:
+            eliminated[memo_key] = closures, checked
+        records.append(BranchRecord(labels, closures, checked))
     return tuple(records), None
-
-
-def _refined_corner(
-    tables: _SchemeTables, values: tuple[int, int, int], deficit: int
-) -> Optional[tuple]:
-    """The first corner closure of a net with a corner value 3."""
-    for zone, value in enumerate(values, 1):
-        key = tables.corners_of[zone - 1][value]
-        if key is _REFINED:
-            key = tables.corner_refined[value, deficit, zone]
-        if key:
-            return key
-    return None
 
 
 def _feasible_ledger(
@@ -847,6 +893,21 @@ class Prop2Report(NamedTuple):
             "mirror": "the magnitude-3 value of opposite sign follows by "
             "orientation reversal",
         }
+
+
+# The a-priori scheme rows of the bound-3 analysis, in table 21's order.
+FIG21_TRIPLES = (
+    (NestScheme(MINUS, 1, 1), NestScheme(MINUS, 1, 1), NestScheme(MINUS, 0, 1)),
+    (NestScheme(MINUS, 1, 1), NestScheme(MINUS, 0, 1), NestScheme(MINUS, 0, 1)),
+    (NestScheme(MINUS, 0, 1), NestScheme(MINUS, 0, 1), NestScheme(MINUS, 0, 1)),
+    (NestScheme(PLUS, 1, 1), NestScheme(PLUS, 1, 1), NestScheme(PLUS, 1, 0)),
+    (NestScheme(PLUS, 1, 1), NestScheme(PLUS, 1, 0), NestScheme(PLUS, 1, 0)),
+    (NestScheme(PLUS, 1, 0), NestScheme(PLUS, 1, 0), NestScheme(PLUS, 1, 0)),
+)
+
+# Published table 21 lists -2 in this row; the formulas give -4.
+FIG21_DISCREPANT_ROW = "(+, +, (+, +))"
+FIG21_PRINTED_VALUE = -2
 
 
 def prove_proposition2(ablate: tuple[str, ...] = ()) -> Prop2Report:

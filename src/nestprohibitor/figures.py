@@ -4,6 +4,7 @@ Every cell is computed from the operations in `orevkov`; nothing numeric
 is hard-coded except the published value recorded in table 21's row
 annotation, which documents a discrepancy with the computed entry (both
 values are nonzero, so nothing downstream depends on the difference).
+That value and table 21's rows live in `engine`, beside their analysis.
 
 Renderings are byte-stable: fixed row order, fixed column widths for
 text, and tab separation for TSV.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .engine import FIG21_DISCREPANT_ROW, FIG21_PRINTED_VALUE, FIG21_TRIPLES
 from .orevkov import allowed_zones, e_values, f_value, g_value, nest_terms, second_formula_residual
 from .schemes import MINUS, PLUS, ComplexType, CurveType, NestScheme
 
@@ -89,20 +91,6 @@ def _fig20_types() -> tuple[CurveType, ...]:
         CurveType((d_min, d_min, n_min)),
         CurveType((d_min, d_min, d_min)),
     )
-
-
-FIG21_TRIPLES = (
-    (_ns(MINUS, 1, 1), _ns(MINUS, 1, 1), _ns(MINUS, 0, 1)),
-    (_ns(MINUS, 1, 1), _ns(MINUS, 0, 1), _ns(MINUS, 0, 1)),
-    (_ns(MINUS, 0, 1), _ns(MINUS, 0, 1), _ns(MINUS, 0, 1)),
-    (_ns(PLUS, 1, 1), _ns(PLUS, 1, 1), _ns(PLUS, 1, 0)),
-    (_ns(PLUS, 1, 1), _ns(PLUS, 1, 0), _ns(PLUS, 1, 0)),
-    (_ns(PLUS, 1, 0), _ns(PLUS, 1, 0), _ns(PLUS, 1, 0)),
-)
-
-# Published table 21 lists -2 in this row; the formulas give -4.
-FIG21_DISCREPANT_ROW = "(+, +, (+, +))"
-FIG21_PRINTED_VALUE = -2
 
 
 def _zone_str(zones: tuple[int, ...]) -> str:

@@ -729,6 +729,52 @@ class TestSettle:
         finally:
             gc.enable()
 
+    def test_branches_share_the_screens_and_the_eliminated_branches(self, monkeypatch):
+        # Screens and eliminated branches are keyed by branch offsets, never
+        # by a label: the scheme's 4,240 branches replay 63 screens, and
+        # 1,180 eliminated-branch entries (28 of whole screens closed, 1,152
+        # of problems no ledger was built for) hold what they closed.
+        tables = []
+        build = engine._SchemeTables.__init__
+
+        def tracked_tables(self, *args):
+            tables.append(self)
+            build(self, *args)
+
+        monkeypatch.setattr(engine._SchemeTables, "__init__", tracked_tables)
+        report = prove_theorem1(schemes=[parse_real_scheme("<J + 1<5> + 1<5> + 1<9> + 6>")])
+        assert sum(len(t.branches) for t in report.results[0].traces) == 4240
+        (scheme_tables,) = tables
+        assert len(scheme_tables.screens) <= 63
+        assert len(scheme_tables.eliminated) <= 1180
+
+    @pytest.mark.parametrize("ablate", [(), ("exterior_zone",), ("lemma10",), ("separating",)])
+    def test_a_recorded_branch_reads_as_searched(self, monkeypatch, ablate):
+        # A branch that takes an eliminated branch's record must read as if
+        # it were searched: settling with nothing recorded moves no byte.
+        schemes = [
+            parse_real_scheme(s)
+            for s in ("<J + 1<6> + 1<6> + 1<10> + 3>", "<J + 1<4> + 1<4> + 1<4> + 13>")
+        ]
+        def traces():
+            report = prove_theorem1(ablate=ablate, schemes=schemes)
+            dicts = [t.to_json_dict() for r in report.results for t in r.traces]
+            return hashlib.sha256(json.dumps(dicts).encode()).hexdigest()
+
+        recorded = traces()
+        build = engine._SchemeTables.__init__
+
+        class Unrecorded(dict):
+            def __setitem__(self, key, value):
+                pass
+
+        def unrecorded_tables(self, *args):
+            build(self, *args)
+            self.eliminated = Unrecorded()
+
+        monkeypatch.setattr(engine._SchemeTables, "__init__", unrecorded_tables)
+        assert traces() == recorded
+
 
 class TestProposition2:
     @pytest.fixture()

@@ -32,9 +32,9 @@ def test_star_import_binds_every_exported_name():
         assert namespace[name] is getattr(nestprohibitor, name)
 
 
-def test_import_loads_no_dataclass_machinery():
-    # Only what the import adds counts: the interpreter may load any of
-    # these at start-up (a site hook, say).
+def _modules_the_import_adds() -> list[str]:
+    # Only what the import adds counts: the interpreter may load any module
+    # at start-up (a site hook, say).
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -43,11 +43,22 @@ def test_import_loads_no_dataclass_machinery():
     )
     src = os.path.dirname(os.path.dirname(nestprohibitor.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
+
+
+def test_import_loads_no_dataclass_machinery():
+    out = _modules_the_import_adds()
     assert "nestprohibitor.engine" in out
     assert {"dataclasses", "inspect", "copy"}.isdisjoint(out), out
+
+
+def test_import_loads_no_rendering_module():
+    # the tables are rendered on demand; the engine keeps table 21's rows
+    out = _modules_the_import_adds()
+    assert "nestprohibitor.engine" in out
+    assert "nestprohibitor.figures" not in out, out
 
 
 _JUMPED = CurveType(
