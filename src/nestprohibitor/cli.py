@@ -13,8 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .engine import prove_proposition2, prove_theorem1
-from .figures import FIGURE_IDS, build_figure, render_text, render_tsv
+from .engine import FIGURE_IDS, prove_proposition2, prove_theorem1
 from .ledger import OrientationLedger
 from .rules import RULES, Candidate, check_rule_ids, evaluate_all
 from .schemes import SchemeError, enumerate_three_nest_schemes, parse_real_scheme
@@ -91,6 +90,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    # the renderer loads here, so no other command pays for its import
+    from .figures import build_figure, render_text, render_tsv
+
     fig = build_figure(args.figure)
     out = render_tsv(fig) if args.format == "tsv" else render_text(fig)
     _print(out, end="")

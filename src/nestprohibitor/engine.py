@@ -19,15 +19,19 @@ scheme's candidates: `prove_theorem1` passes all of them, `eliminate`
 passes one.  It checks the scheme and the ablated rule ids once, and
 settles every candidate against one table object (`_SchemeTables`) of
 what depends on the scheme and the ablation alone: per nest-scheme triple
-the nest sizes, allowed zones and Pi_delta; the chain branches; the
-closures; each rule's memo; the net sequences.  An ablated rule gets no
-closure key, so every memo is built as for no ablation; only the rules
-that change the search space (exterior_zone's zones, lemma10's identities
-and budget, the ledger's `evaluate_all`) read the ablated ids.  The stage
-screen (jump trichotomy, then separating formula) runs first; only a
-candidate it leaves open is searched, by one function (`_search`) that
-computes what varies per candidate, then loops over the chain branches,
-each value bound at the loop where it varies.  Every branch that asks
+the nest sizes, allowed zones and Pi_delta; the chain branches, as plain
+rows; the closures; each rule's memo; the net sequences.  An ablated rule
+gets no closure key, so every memo is built as for no ablation; only the
+rules that change the search space (exterior_zone's zones, lemma10's
+identities and budget, the ledger's `evaluate_all`) read the ablated ids.
+The stage
+screen (jump trichotomy, then separating formula) runs first, from the
+scheme's memos: the jump stage closures per (Pi_delta, nu3, crossing), and
+each nest type's (separating, F, G) with one closure key per (nest, F,
+G_j + G_k).  Only a candidate it leaves open is searched, by one function
+(`_search`) that computes what varies per candidate, then loops over the
+chain branches of nests 1, 2 and 3 in three nested loops, each value
+bound at the loop of the nests it reads.  Every branch that asks
 for the same (free zones, budget, deficit) key replays one net sequence,
 built only as far as some branch reads it; each net in it is built once,
 as its triangle values and oval count, and read as built.  The checks
@@ -65,14 +69,13 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Iterator, NamedTuple, Optional
+from collections import namedtuple
+from typing import Iterator, Optional
 
 from .ledger import OrientationLedger
 from .orevkov import allowed_zones, e_values, f_value, g_value
 from .rules import (
     Candidate,
-    Evidence,
-    RULES,
     VIOLATED,
     _budget_violation,
     _deficit_identity_violation,
@@ -81,6 +84,8 @@ from .rules import (
     _jump_stage_violation,
     _jump_violation,
     _lambda0_violation,
+    _separating_inputs,
+    _separating_terms,
     _separating_violation,
     _triangle_violation,
     _unreachable_violation,
@@ -114,16 +119,14 @@ class EngineError(RuntimeError):
 # Chain branches
 
 
-class NestBranch(NamedTuple):
-    """One resolution of a nest's interior-chain contribution."""
+class NestBranch(namedtuple("NestBranch", "label lam0 lam_t eps w pop_t0 pop_t")):
+    """One resolution of a nest's interior-chain contribution: its net
+    contributions `lam0` to zone T0 and `lam_t` to the nest's corner
+    triangle, its base-oval sign `eps`, its nets `w` into the two adjacent
+    quadrangles (low zone first), and the interior ovals it parks in the T0
+    sector (`pop_t0`) and in the corner sector (`pop_t`)."""
 
-    label: str
-    lam0: int  # net contribution to zone T0
-    lam_t: int  # net contribution to the nest's corner triangle
-    eps: int  # base-oval sign
-    w: tuple[int, int]  # nets into the two adjacent quadrangles (low zone first)
-    pop_t0: int  # interior ovals parked in the T0 sector
-    pop_t: int  # interior ovals parked in the corner sector
+    __slots__ = ()
 
 
 def nest_branches(ct: ComplexType, jumped: bool) -> tuple[NestBranch, ...]:
@@ -158,6 +161,19 @@ def nest_branches(ct: ComplexType, jumped: bool) -> tuple[NestBranch, ...]:
                             NestBranch(label, s0, st, eps, (wj, wk), abs(s0), abs(st))
                         )
     return tuple(branches)
+
+
+def _branch_rows(ct: ComplexType, jumped: bool) -> tuple[tuple, ...]:
+    """The chain branches of one nest as the plain rows `_search` reads:
+    (label, lambda_0 share, corner share, nu + epsilon, the nets into the
+    low and the high adjacent quadrangle, whether the branch parks ovals in
+    a triangle, the branch itself)."""
+    nu = ct.scheme.nu
+    rows = []
+    for branch in nest_branches(ct, jumped):
+        label, lam0, lam_t, eps, (w_low, w_high), pop_t0, pop_t = branch
+        rows.append((label, lam0, lam_t, nu + eps, w_low, w_high, bool(pop_t0 or pop_t), branch))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +256,21 @@ def jump_candidates(scheme: RealScheme) -> list[CurveType]:
 # Proof traces
 
 
-class Closure(NamedTuple):
+class Closure(namedtuple("Closure", "rule_id evidence count", defaults=(1,))):
     """A rule closing `count` assignments.  `to_json_dict` returns a fresh
     dict; its `evidence` is the shared, read-only value, uncopied."""
 
-    rule_id: str
-    evidence: Evidence
-    count: int = 1
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {"rule": self.rule_id, "evidence": self.evidence, "count": self.count}
 
 
-class BranchRecord(NamedTuple):
-    nests: tuple[str, str, str]
-    closures: tuple[Closure, ...]
-    solutions_checked: int
+class BranchRecord(namedtuple("BranchRecord", "nests closures solutions_checked")):
+    """The chain-branch labels of the three nests, the closures of their
+    nets and the number of nets checked."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,14 +280,16 @@ class BranchRecord(NamedTuple):
         }
 
 
-class ProofTrace(NamedTuple):
-    candidate: str
-    scheme: str
-    outcome: str  # "eliminated" | "survives"
-    zones_allowed: tuple[int, ...]
-    stage_closures: tuple[Closure, ...]
-    branches: tuple[BranchRecord, ...]
-    witness: Optional[OrientationLedger] = None
+class ProofTrace(namedtuple(
+    "ProofTrace",
+    "candidate scheme outcome zones_allowed stage_closures branches witness",
+    defaults=(None,),
+)):
+    """One candidate's record: its text and its scheme's, the outcome
+    ("eliminated" or "survives"), the allowed zones, the stage closures,
+    the branch records and the witness ledger, or None."""
+
+    __slots__ = ()
 
     @property
     def cited_rules(self) -> tuple[str, ...]:
@@ -443,19 +460,22 @@ class _SchemeTables:
     on the candidate.
 
     `triples` maps a nest-scheme triple to its (Pi_delta, allowed zones),
-    its nest sizes checked, and `branches_of` a (complex type, jumped) pair
-    to its chain branches.  `key_of` keeps a violation's evidence under its
-    closure key, None for no violation or an ablated rule, and `closure_of`
-    maps a (closure key, count) to one shared `Closure`: every closure
-    `_settle` emits comes from these two.  Each rule maps its input to a
-    closure key, or None, through a memo, so its predicate runs once per
-    distinct input in the scheme; `jumps` gives the jump stage closures and
-    the numeric jump tier per (Pi_delta, nu3, crossing).  The lambda_0 and
-    corner bounds are keyed by their value alone, but for |lambda_0| = 3
-    and a corner value 3 (_REFINED), which read more of the net.  `nets`
-    holds the net sequences, one per (free zones, budget, deficit),
-    `screens` the net screens per screen key, and `eliminated` the
-    (closures, nets checked) of each eliminated branch key (see `_search`).
+    its nest sizes checked, and `branch_rows` a (complex type, jumped) pair
+    to its chain branches as `_branch_rows`.  `key_of` keeps a violation's
+    evidence under its closure key, None for no violation or an ablated
+    rule, and `closure_of` maps a (closure key, count) to one shared
+    `Closure`: every closure `_settle` emits comes from these two.  Each
+    rule maps its input to a closure key, or None, through a memo, so its
+    predicate runs once per distinct input in the scheme: `jumps` gives the
+    jump stage closures and the numeric jump tier per (Pi_delta, nu3,
+    crossing); `separating_terms` each nest type's (separating, F, G), and
+    `separating_of` the closure key of each (nest, F, G_j + G_k).  The
+    lambda_0 and corner bounds are keyed by their value alone, but for
+    |lambda_0| = 3 and a corner value 3 (_REFINED), which read more of the
+    net.  `nets` holds the net sequences, one per (free zones, budget,
+    deficit), `screens` the net screens per screen key, and `eliminated`
+    the (closures, nets checked) of each eliminated branch key (see
+    `_search`).
     No memo refers to the tables, so they need no cycle collector to be
     freed: a screen gets the memos it reads, not the tables.
     """
@@ -474,10 +494,12 @@ class _SchemeTables:
             return pi_delta(schemes), (0, 1, 2, 3) if all_zones else allowed_zones(*schemes)
 
         self.triples = _Memo(triple)
-        self.branches_of = _Memo(lambda a: nest_branches(*a))
+        self.branch_rows = _Memo(lambda a: _branch_rows(*a))
         evidence = {}  # closure key -> evidence
         key_of = self.key_of = functools.partial(_closure_key, evidence, ablate)
         closure_of = self.closure_of = _Memo(lambda kn: Closure(kn[0][0], evidence[kn[0]], kn[1]))
+        self.separating_terms = _Memo(_separating_terms)
+        self.separating_of = _Memo(lambda a: key_of("separating", _separating_violation(*a)))
         self.empty_of = _Memo(lambda t: key_of("empty_triangles", _empty_triangles_violation(t)))
         self.jumps = _Memo(lambda a: _jump_tables(key_of, closure_of, *a))
         self.lambda0_of = _Memo(lambda v: _REFINED if abs(v) == 3 else key_of(
@@ -548,15 +570,25 @@ def _screen(nets, sh0, t4, t5, t6, jump_of, empty_key, lambda0_of, corners, corn
 
 
 def _stage_closures(curve_type: CurveType, pd: int, tables: _SchemeTables) -> tuple[Closure, ...]:
-    """The stage screen: the jump trichotomy, then the separating formula."""
+    """The stage screen: the jump trichotomy, then the separating formula.
+
+    Both read the scheme's memos: the jump stage closures per (Pi_delta,
+    nu3, crossing), each nest type's (separating, F, G), and the closure
+    key per (nest, F, G_j + G_k).  The first separating nest whose formula
+    fails closes the candidate, as in `rule_separating`.
+    """
     jump = curve_type.jump
     if jump is not None:
         closures, _ = tables.jumps[pd, curve_type.schemes[2].nu, jump.crossing]
         if closures:
             return closures
-    verdict = RULES["separating"](Candidate(curve_type=curve_type))
-    key = tables.key_of("separating", verdict.evidence)
-    return (tables.closure_of[key, 1],) if key else ()
+    terms = tables.separating_terms
+    c1, c2, c3 = curve_type.nests
+    for args in _separating_inputs((terms[c1], terms[c2], terms[c3])):
+        key = tables.separating_of[args]
+        if key:
+            return (tables.closure_of[key, 1],)
+    return ()
 
 
 def _search(
@@ -565,9 +597,11 @@ def _search(
     """The branch search of one candidate that the stage screen leaves
     open.  Returns the branch records and the witness, or None.
 
-    First the values that vary per candidate; then one loop over every
-    combination of its nests' chain branches, with the values that vary
-    per branch; inside it, one loop over the branch's exterior nets, in
+    First the values that vary per candidate; then three nested loops over
+    the `_branch_rows` of nests 1, 2 and 3, each value bound at the loop of
+    the nests it reads: the sums over nests 1 and 2 (lambda_0 share, nu +
+    epsilon, Q3's identity and chain net) in the second loop, the rest in
+    the third; inside it, one loop over the branch's exterior nets, in
     `_free_assignments` order.  The first rule that fires closes a net, in
     the order empty triangles, jump, lambda_0, the corners T1..T3, then the
     oval budget of lemma10; a net none closes goes on to a ledger build,
@@ -575,20 +609,20 @@ def _search(
     search.  A branch replays the `_screen` of its key and checks only the
     nets it leaves open, unless an eliminated branch that built no ledger
     recorded its closures and count under its key: the screen key when the
-    screen left no net open, else that and what the open nets read.
+    screen left no net open, else that and what the open nets read (the
+    problem key, built only when the screen key misses).
     Closures merge by evidence, not by the predicate inputs that produced
     it: with `lemma10` ablated, nets of different deficits with lambda_4 = 5
     share one corner evidence, which records no deficit, and count as one
     closure.  Closures are listed in the order of their first net.
     """
     jump = curve_type.jump
-    per_nest = [
-        tables.branches_of[nest, jump is not None and i == 2]  # the jumped nest is third
-        for i, nest in enumerate(curve_type.nests)
-    ]
+    c1, c2, c3 = curve_type.nests
+    rows1 = tables.branch_rows[c1, False]
+    rows2 = tables.branch_rows[c2, False]
+    rows3 = tables.branch_rows[c3, jump is not None]  # the jumped nest is third
     schemes = curve_type.schemes
-    n1, n2, n3 = (s.nu for s in schemes)
-    all_sep = all(ct.separating for ct in curve_type.nests)
+    all_sep = c1.separating and c2.separating and c3.separating
     beta = tables.beta
     # The closures of every branch with no interior oval in a triangle,
     # when no exterior oval can reach one either.
@@ -602,91 +636,95 @@ def _search(
     closure_of = tables.closure_of.__getitem__
 
     records = []
-    for branches in itertools.product(*per_nest):
-        b1, b2, b3 = branches
-        labels = (b1.label, b2.label, b3.label)
-        no_pop = not (b1.pop_t0 or b2.pop_t0 or b3.pop_t0 or b1.pop_t or b2.pop_t or b3.pop_t)
+    for label1, sh1, t4, ne1, lo1, hi1, pop1, b1 in rows1:
+        for label2, sh2, t5, ne2, lo2, hi2, pop2, b2 in rows2:
+            sh12 = sh1 + sh2
+            ne12 = ne1 + ne2
+            rhs3 = -ne12 // 2  # right-hand side of Q3's identity
+            w3 = hi1 + hi2  # the chains' net into Q3; see _QUAD_ZONES
+            pop12 = pop1 or pop2
+            for label3, sh3, t6, ne3, lo3, hi3, pop3, b3 in rows3:
+                labels = (label1, label2, label3)
+                no_pop = not (pop12 or pop3)
 
-        # Triangles forced empty: the list rule applies before any solving.
-        if no_pop and empty_closed:
-            records.append(BranchRecord(labels, empty_closed, 0))
-            continue
+                # Triangles forced empty: the list rule applies before any solving.
+                if no_pop and empty_closed:
+                    records.append(BranchRecord(labels, empty_closed, 0))
+                    continue
 
-        sh0 = b1.lam0 + b2.lam0 + b3.lam0
-        t4, t5, t6 = b1.lam_t, b2.lam_t, b3.lam_t
-        e1, e2, e3 = b1.eps, b2.eps, b3.eps
-        eps_sum = n1 + n2 + n3 + e1 + e2 + e3
-        # right-hand sides of the three quadrangle identities
-        rhs1 = -(n3 + e3 + n2 + e2) // 2
-        rhs2 = -(n3 + e3 + n1 + e1) // 2
-        rhs3 = -(n2 + e2 + n1 + e1) // 2
-        # the chains' nets into Q1..Q3; see _QUAD_ZONES
-        w1, w2, w3 = b2.w[0] + b3.w[0], b1.w[0] + b3.w[1], b1.w[1] + b2.w[1]
-        q1, q2, q3 = w1 == 0, w2 == 0, w3 == 0
-        deficit_rhs = pd - 4 - (sh0 - t4 - t5 - t6) if identities else None
-        screen_key = (
-            zones, pd, deficit_rhs, sh0, t4, t5, t6, jump_key, empty_key if no_pop else None
-        )
-        problem_key = (screen_key, rhs1, rhs2, rhs3, w1, w2, w3, all_sep, eps_sum)
-        hit = eliminated.get(screen_key) or eliminated.get(problem_key)
-        if hit:
-            records.append(BranchRecord(labels, *hit))
-            continue
+                sh0 = sh12 + sh3
+                deficit_rhs = pd - 4 - (sh0 - t4 - t5 - t6) if identities else None
+                screen_key = (
+                    zones, pd, deficit_rhs, sh0, t4, t5, t6, jump_key,
+                    empty_key if no_pop else None,
+                )
+                hit = eliminated.get(screen_key)
+                if not hit:
+                    eps_sum = ne12 + ne3
+                    rhs1, rhs2 = -(ne3 + ne2) // 2, -(ne3 + ne1) // 2
+                    w1, w2 = lo2 + lo3, lo1 + hi3
+                    problem_key = (screen_key, rhs1, rhs2, rhs3, w1, w2, w3, all_sep, eps_sum)
+                    hit = eliminated.get(problem_key)
+                if hit:
+                    records.append(BranchRecord(labels, *hit))
+                    continue
+                q1, q2, q3 = w1 == 0, w2 == 0, w3 == 0
 
-        memo_key = screen_key  # what the branch's closures read so far
-        tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
-        for runs, checked, net, key in tables.screen(screen_key):
-            for run_key, count in runs:
-                tally[run_key] = tally.get(run_key, 0) + count
-            if net is None:
-                break
-            x0, x1, x2, x3, ovals = net
-            lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
-            memo_key = memo_key and problem_key  # an open net reads the branch
+                memo_key = screen_key  # what the branch's closures read so far
+                tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
+                for runs, checked, net, key in tables.screen(screen_key):
+                    for run_key, count in runs:
+                        tally[run_key] = tally.get(run_key, 0) + count
+                    if net is None:
+                        break
+                    x0, x1, x2, x3, ovals = net
+                    lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
+                    memo_key = memo_key and problem_key  # an open net reads the branch
 
-            # At magnitude 3 the central-triangle bound's refinements read
-            # the branch and which quadrangles the identities leave empty;
-            # else the screen's corner closure applies.
-            if lam0 in (3, -3):
-                key = tables.lambda0_refined[
-                    lam0, all_sep, eps_sum, q1 and rhs1 - lam0 + lam4 == 0,
-                    q2 and rhs2 - lam0 + lam5 == 0, q3 and rhs3 - lam0 + lam6 == 0
-                ] or key
-            if key:
-                tally[key] = tally.get(key, 0) + 1
-                continue
+                    # At magnitude 3 the central-triangle bound's refinements
+                    # read the branch and which quadrangles the identities
+                    # leave empty; else the screen's corner closure applies.
+                    if lam0 in (3, -3):
+                        key = tables.lambda0_refined[
+                            lam0, all_sep, eps_sum, q1 and rhs1 - lam0 + lam4 == 0,
+                            q2 and rhs2 - lam0 + lam5 == 0, q3 and rhs3 - lam0 + lam6 == 0
+                        ] or key
+                    if key:
+                        tally[key] = tally.get(key, 0) + 1
+                        continue
 
-            # The quadrangle values the identities pin, and the oval budget
-            # they need.  The cost always has the parity of beta: mod 2 it is
-            # the sum of the branch shares, alpha_i + 1 per nest, and
-            # sum(alpha) + beta = 25 (checked in _settle).  So the budget test
-            # is the bound alone.
-            p1, p2, p3 = rhs1 - lam0 + lam4, rhs2 - lam0 + lam5, rhs3 - lam0 + lam6
-            required = ovals + abs(p1 - w1) + abs(p2 - w2) + abs(p3 - w3)
-            if required > beta and identities:
-                key = tables.over_budget[required, lam0, p1, p2, p3, lam4, lam5, lam6]
-                tally[key] = tally.get(key, 0) + 1
-                continue
+                    # The quadrangle values the identities pin, and the oval
+                    # budget they need.  The cost always has the parity of
+                    # beta: mod 2 it is the sum of the branch shares, alpha_i
+                    # + 1 per nest, and sum(alpha) + beta = 25 (checked in
+                    # _settle).  So the budget test is the bound alone.
+                    p1, p2, p3 = rhs1 - lam0 + lam4, rhs2 - lam0 + lam5, rhs3 - lam0 + lam6
+                    required = ovals + abs(p1 - w1) + abs(p2 - w2) + abs(p3 - w3)
+                    if required > beta and identities:
+                        key = tables.over_budget[required, lam0, p1, p2, p3, lam4, lam5, lam6]
+                        tally[key] = tally.get(key, 0) + 1
+                        continue
 
-            memo_key = None  # a ledger reads all of the branch
-            witness = _feasible_ledger(
-                curve_type, tables, pd, branches, net, (w1, w2, w3),
-                lam0, (lam4, lam5, lam6), (p1, p2, p3) if required <= beta else None, tally,
-            )
-            if witness is not None:
+                    memo_key = None  # a ledger reads all of the branch
+                    witness = _feasible_ledger(
+                        curve_type, tables, pd, (b1, b2, b3), net, (w1, w2, w3),
+                        lam0, (lam4, lam5, lam6), (p1, p2, p3) if required <= beta else None,
+                        tally,
+                    )
+                    if witness is not None:
+                        closures = tuple(map(closure_of, tally.items()))
+                        return (BranchRecord(labels, closures, checked),), witness
+                if not checked:
+                    # only possible with no free zone at all: the deficit
+                    # identity fails on the forced values
+                    key = tables.key_of(
+                        "lemma10", _deficit_identity_violation(pd - 4, sh0 - t4 - t5 - t6)
+                    )
+                    tally[key] = tally.get(key, 0) + 1
                 closures = tuple(map(closure_of, tally.items()))
-                return (BranchRecord(labels, closures, checked),), witness
-        if not checked:
-            # only possible with no free zone at all: the deficit identity
-            # fails on the forced values
-            key = tables.key_of(
-                "lemma10", _deficit_identity_violation(pd - 4, sh0 - t4 - t5 - t6)
-            )
-            tally[key] = tally.get(key, 0) + 1
-        closures = tuple(map(closure_of, tally.items()))
-        if memo_key:
-            eliminated[memo_key] = closures, checked
-        records.append(BranchRecord(labels, closures, checked))
+                if memo_key:
+                    eliminated[memo_key] = closures, checked
+                records.append(BranchRecord(labels, closures, checked))
     return tuple(records), None
 
 
@@ -794,9 +832,8 @@ def eliminate(
 # Theorem-level drivers
 
 
-class SchemeResult(NamedTuple):
-    scheme: RealScheme
-    traces: tuple[ProofTrace, ...]
+class SchemeResult(namedtuple("SchemeResult", "scheme traces")):
+    __slots__ = ()
 
     @property
     def surviving(self) -> tuple[ProofTrace, ...]:
@@ -818,8 +855,8 @@ class SchemeResult(NamedTuple):
         }
 
 
-class ExclusionReport(NamedTuple):
-    results: tuple[SchemeResult, ...]
+class ExclusionReport(namedtuple("ExclusionReport", "results")):
+    __slots__ = ()
 
     @property
     def excluded_count(self) -> int:
@@ -862,12 +899,8 @@ def prove_theorem1(
 # The bound-3 branch analysis (central triangle only exterior)
 
 
-class Prop2Row(NamedTuple):
-    schemes: tuple[NestScheme, NestScheme, NestScheme]
-    e0: int
-    closed: bool
-    closures: tuple[Closure, ...]
-    note: str = ""
+class Prop2Row(namedtuple("Prop2Row", "schemes e0 closed closures note", defaults=("",))):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -879,8 +912,8 @@ class Prop2Row(NamedTuple):
         }
 
 
-class Prop2Report(NamedTuple):
-    rows: tuple[Prop2Row, ...]
+class Prop2Report(namedtuple("Prop2Report", "rows")):
+    __slots__ = ()
 
     @property
     def all_closed(self) -> bool:
@@ -894,6 +927,10 @@ class Prop2Report(NamedTuple):
             "orientation reversal",
         }
 
+
+# The published reference tables that `figures` regenerates.  They are
+# listed here, so that the CLI offers them without loading the renderer.
+FIGURE_IDS = (16, 17, 18, 19, 20, 21, 22)
 
 # The a-priori scheme rows of the bound-3 analysis, in table 21's order.
 FIG21_TRIPLES = (

@@ -4,7 +4,9 @@ Every cell is computed from the operations in `orevkov`; nothing numeric
 is hard-coded except the published value recorded in table 21's row
 annotation, which documents a discrepancy with the computed entry (both
 values are nonzero, so nothing downstream depends on the difference).
-That value and table 21's rows live in `engine`, beside their analysis.
+That value and table 21's rows live in `engine`, beside their analysis,
+and so do the table numbers, `FIGURE_IDS`, which the CLI reads without
+loading this module.
 
 Renderings are byte-stable: fixed row order, fixed column widths for
 text, and tab separation for TSV.
@@ -12,21 +14,18 @@ text, and tab separation for TSV.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
-from .engine import FIG21_DISCREPANT_ROW, FIG21_PRINTED_VALUE, FIG21_TRIPLES
+from .engine import FIG21_DISCREPANT_ROW, FIG21_PRINTED_VALUE, FIG21_TRIPLES, FIGURE_IDS
 from .orevkov import allowed_zones, e_values, f_value, g_value, nest_terms, second_formula_residual
 from .schemes import MINUS, PLUS, ComplexType, CurveType, NestScheme
 
-FIGURE_IDS = (16, 17, 18, 19, 20, 21, 22)
 
+class Figure(namedtuple("Figure", "number title header rows annotations")):
+    """A table: its number, title, header, rows of cells, and annotations,
+    one dict per figure, so there is no shared default."""
 
-class Figure(NamedTuple):
-    number: int
-    title: str
-    header: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    annotations: dict  # one dict per figure, so there is no shared default
+    __slots__ = ()
 
 
 def _ns(nu: int, a_plus: int, a_minus: int) -> NestScheme:

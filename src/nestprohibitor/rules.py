@@ -22,7 +22,8 @@ call them; replay re-runs one on the inputs the evidence records.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Optional
 
 from .ledger import OrientationLedger, lambda_deficit, lemma10_residuals, rm_residual
 from .orevkov import e_values, f_value, g_value
@@ -30,6 +31,7 @@ from .schemes import (
     EMPTY_OVALS,
     MINUS,
     PLUS,
+    ComplexType,
     CurveType,
     NestScheme,
     _checked,
@@ -58,19 +60,17 @@ class Evidence(dict):
         return dict, (dict(self),)
 
 
-class Candidate(NamedTuple):
-    """Everything a rule may look at; unset parts make rules inapplicable."""
+class Candidate(namedtuple(
+    "Candidate",
+    "curve_type ledger t0_only_exterior t_only_exterior triangles_empty exterior_triangle_pops",
+    defaults=(None, None, None, (None, None, None), None, None),
+)):
+    """Everything a rule may look at; unset parts make rules inapplicable:
+    a `CurveType`, an `OrientationLedger`, whether T0 and each of T1..T3
+    hold only exterior ovals, whether T0..T3 are empty, and the exterior
+    ovals in T0..T3."""
 
-    curve_type: Optional[CurveType] = None
-    ledger: Optional[OrientationLedger] = None
-    t0_only_exterior: Optional[bool] = None
-    t_only_exterior: tuple[Optional[bool], Optional[bool], Optional[bool]] = (
-        None,
-        None,
-        None,
-    )
-    triangles_empty: Optional[bool] = None
-    exterior_triangle_pops: Optional[tuple[int, int, int, int]] = None
+    __slots__ = ()
 
 
 class RuleVerdict(_checked("RuleVerdict", "rule_id status evidence")):
@@ -82,12 +82,11 @@ class RuleVerdict(_checked("RuleVerdict", "rule_id status evidence")):
         return tuple.__new__(cls, (rule_id, status, evidence))
 
 
-class Rule(NamedTuple):
-    rule_id: str
-    citation: str
-    hypothesis: str
-    statement: str
-    check: Callable[[Candidate], RuleVerdict]
+class Rule(namedtuple("Rule", "rule_id citation hypothesis statement check")):
+    """A catalog entry: its id, citation, hypothesis and statement, and
+    `check`, which maps a `Candidate` to its `RuleVerdict`."""
+
+    __slots__ = ()
 
     def __call__(self, candidate: Candidate) -> RuleVerdict:
         return self.check(candidate)
@@ -270,16 +269,29 @@ def _separating_violation(nest: int, f: int, g_sum: int) -> Optional[Evidence]:
     return Evidence({"nest": nest, "f": f, "g_sum": g_sum, "residual": f - g_sum})
 
 
+def _separating_terms(ct: ComplexType) -> tuple[bool, Optional[int], int]:
+    """(separating, F, G) of one nest; F is None for a non-separating nest."""
+    separating = ct.separating
+    return separating, f_value(ct) if separating else None, g_value(ct.scheme)
+
+
+def _separating_inputs(terms) -> list[tuple[int, int, int]]:
+    """The `_separating_violation` inputs (nest, F, G_j + G_k) of each
+    separating nest, 1-based and in nest order, from the `_separating_terms`
+    of the three nests."""
+    (sep1, f1, g1), (sep2, f2, g2), (sep3, f3, g3) = terms
+    inputs = ((sep1, (1, f1, g2 + g3)), (sep2, (2, f2, g1 + g3)), (sep3, (3, f3, g1 + g2)))
+    return [args for separating, args in inputs if separating]
+
+
 def rule_separating(c: Candidate) -> RuleVerdict:
     if c.curve_type is None:
         return RuleVerdict("separating", INAPPLICABLE)
-    nests = c.curve_type.nests
-    sep = [i for i, ct in enumerate(nests) if ct.separating]
-    if not sep:
+    inputs = _separating_inputs(map(_separating_terms, c.curve_type.nests))
+    if not inputs:
         return RuleVerdict("separating", INAPPLICABLE)
-    for i in sep:
-        g_sum = sum(g_value(nests[j].scheme) for j in range(3) if j != i)
-        violation = _separating_violation(i + 1, f_value(nests[i]), g_sum)
+    for args in inputs:
+        violation = _separating_violation(*args)
         if violation:
             return _judged("separating", violation)
     return _judged("separating", None)

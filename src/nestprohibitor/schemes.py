@@ -437,6 +437,10 @@ class Jump(_checked("Jump", "repartition crossing")):
         return all(l % 2 for l in self.repartition)
 
 
+# A curve type's text for each value of `Jump.crossing`.
+_CROSSING_WORDS = {None: "?", True: "crossing", False: "non-crossing"}
+
+
 class CurveType(_checked("CurveType", "nests jump")):
     """Complex type of the whole curve: three nest types plus optional jump.
 
@@ -459,19 +463,23 @@ class CurveType(_checked("CurveType", "nests jump")):
             raise SchemeInvariantError("every nest of a curve type is a ComplexType")
         if jump is not None and not isinstance(jump, Jump):
             raise SchemeInvariantError(f"jump {jump!r} is not None or a Jump")
-        schemes = (c1.scheme, c2.scheme, c3.scheme)
-        jumped = schemes[2]
-        two = abs(jumped.diff) == 2
-        if abs(schemes[0].diff) == 2 or abs(schemes[1].diff) == 2 or (two and jump is None):
+        schemes = s1, s2, s3 = c1.scheme, c2.scheme, c3.scheme
+        # each nest's imbalance a_plus - a_minus, from its fields
+        _, p1, m1 = s1
+        _, p2, m2 = s2
+        _, p3, m3 = s3
+        two = p3 - m3 in (2, -2)
+        if p1 - m1 in (2, -2) or p2 - m2 in (2, -2) or (two and jump is None):
             raise SchemeInvariantError("imbalance 2 requires the jump to sit in that nest")
         if jump is not None:
-            odd = jump.all_odd
+            repartition, crossing = jump
+            l1, l2, l3 = repartition
+            odd = l1 & l2 & l3 & 1
             if c3.tag != "n":
                 raise SchemeInvariantError("a jumped nest is non-separating")
             if two and not odd:
                 raise SchemeInvariantError("imbalance 2 requires an all-odd repartition")
-            l1, _, l3 = jump.repartition
-            if l1 + l3 != jumped.alpha:
+            if l1 + l3 != p3 + m3:
                 raise SchemeInvariantError(
                     "interior repartition groups must exhaust the jumped nest"
                 )
@@ -481,8 +489,7 @@ class CurveType(_checked("CurveType", "nests jump")):
         object.__setattr__(self, "schemes", schemes)
         body = f"{c1._text}, {c2._text}, {c3._text}"
         if jump is not None:
-            cross = {None: "?", True: "crossing", False: "non-crossing"}[jump.crossing]
-            body = f"{body} | jump {jump.repartition} {cross}"
+            body = f"{body} | jump {repartition} {_CROSSING_WORDS[crossing]}"
         object.__setattr__(self, "_text", f"[{body}]")
         return self
 

@@ -693,6 +693,43 @@ CONTEXT_CASES = [
 ]
 
 
+class TestSeparatingStage:
+    # The stage takes each nest type's (separating, F, G) and the closure key
+    # of each (nest, F, G_j + G_k) from the scheme's memos; it must close
+    # what the registry's rule closes, with the one shared closure and
+    # evidence, on odd ("s") and even ("u"/"d") separating nests alike.
+    @pytest.mark.parametrize("ablate", [(), ("separating",)])
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            "<J + 1<2> + 1<2> + 1<20> + 1>",  # all even: u/d
+            "<J + 1<3> + 1<5> + 1<9> + 8>",  # all odd: s
+            "<J + 1<1> + 1<2> + 1<4> + 18>",  # both
+        ],
+    )
+    def test_stage_closes_as_the_rule(self, scheme, ablate):
+        real = parse_real_scheme(scheme)
+        tables = engine._SchemeTables(real, ablate)
+        tags, closed = set(), 0
+        for ct in no_jump_candidates(real):
+            pd, _ = tables.triples[ct.schemes]
+            stage = engine._stage_closures(ct, pd, tables)
+            verdict = RULES["separating"](Candidate(curve_type=ct))
+            key = tables.key_of("separating", verdict.evidence)
+            expected = (tables.closure_of[key, 1],) if key else ()
+            assert stage == expected, str(ct)
+            if stage:
+                (closure,) = stage
+                assert closure is expected[0] and type(closure.evidence) is Evidence
+                assert closure.evidence == verdict.evidence
+                closed += 1
+            tags.update(nest.tag for nest in ct.nests)
+        assert tags & {"s", "u", "d"}
+        # the enumerator's filter decides an odd nest's formula exactly, and
+        # leaves only the up/down variants of even nests to the rule
+        assert bool(closed) == (not ablate and bool(tags & {"u", "d"}))
+
+
 class TestSettle:
     # prove_theorem1 settles a scheme's candidates in one _settle call,
     # against one _SchemeTables that holds the per-triple entries, the chain

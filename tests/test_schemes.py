@@ -283,6 +283,11 @@ class TestConstructorChecks:
         with pytest.raises(SchemeInvariantError):
             build()
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_three_nests_required(self, count):
+        with pytest.raises(SchemeArityError, match="exactly three nests"):
+            CurveType((N_TYPE,) * count)
+
     @pytest.mark.parametrize("crossing", [None, True, False])
     def test_crossing_values_accepted(self, crossing):
         assert Jump((1, 2, 1), crossing=crossing).crossing is crossing
@@ -304,6 +309,10 @@ class TestDerivedFields:
         assert str(c) == "[(+, d), (-, -, s), (+, -, -, n) | jump (1, 1, 1) ?]"
         assert c.schemes == tuple(ct.scheme for ct in c.nests)
         assert c.schemes[2] == NestScheme(PLUS, 0, 2)
+
+    def test_non_crossing_text(self):
+        c = _jumped_curve_type()._replace(jump=Jump((1, 1, 1), crossing=False))
+        assert str(c) == "[(+, d), (-, -, s), (+, -, -, n) | jump (1, 1, 1) non-crossing]"
 
     def test_equality_hash_and_order_ignore_derived_fields(self):
         a, b = ComplexType(NestScheme(PLUS, 1, 0), "s"), ComplexType(NestScheme(PLUS, 1, 0), "s")
@@ -359,14 +368,15 @@ class TestComplexTypes:
             Jump((1, 1, 1)),
         )
         assert good.jump.all_odd
-        with pytest.raises(SchemeInvariantError):
+        # a balanced nest, so that only the tag is wrong for a jumped nest
+        with pytest.raises(SchemeInvariantError, match="jumped nest is non-separating"):
             CurveType(
                 (
                     ComplexType(NestScheme(MINUS, 1, 1), "n"),
                     ComplexType(NestScheme(MINUS, 1, 1), "n"),
-                    ComplexType(NestScheme(PLUS, 0, 2), "d"),
+                    ComplexType(NestScheme(PLUS, 1, 1), "d"),
                 ),
-                Jump((1, 1, 1)),
+                Jump((1, 2, 1)),
             )
 
     def test_imbalance2_needs_jump(self):
@@ -378,6 +388,24 @@ class TestComplexTypes:
                     ComplexType(NestScheme(PLUS, 0, 2), "n"),
                 )
             )
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_imbalance2_outside_the_jumped_nest_rejected(self, slot):
+        jumped = ComplexType(NestScheme(PLUS, 0, 2), "n")
+        nests = [N_TYPE, N_TYPE, jumped]
+        nests[slot] = jumped
+        with pytest.raises(SchemeInvariantError, match="jump to sit in that nest"):
+            CurveType(tuple(nests), Jump((1, 1, 1)))
+
+    def test_imbalance2_needs_an_all_odd_repartition(self):
+        nests = (N_TYPE, N_TYPE, ComplexType(NestScheme(PLUS, 0, 2), "n"))
+        with pytest.raises(SchemeInvariantError, match="requires an all-odd repartition"):
+            CurveType(nests, Jump((1, 2, 1)))
+
+    def test_repartition_groups_exhaust_the_jumped_nest(self):
+        # l1 + l3 = 3 against alpha = 2, with neither imbalance 2 nor all odd
+        with pytest.raises(SchemeInvariantError, match="must exhaust the jumped nest"):
+            CurveType((N_TYPE, N_TYPE, N_TYPE), Jump((1, 2, 2)))
 
     def test_all_odd_repartition_forces_imbalance(self):
         with pytest.raises(SchemeInvariantError):
