@@ -12,10 +12,12 @@ rule with numeric evidence, and the whole record replays
 deterministically.
 
 Each value is computed once at the level where it varies, and no shortcut
-changes a trace.  The enumerator takes its separating-filter terms once
-per nest complex type, and builds each candidate with `CurveType`'s one
-checked constructor.  One function settles a list of one
-scheme's candidates: `prove_theorem1` passes all of them, `eliminate`
+changes a trace.  The enumerator groups each nest size's complex types by
+their separating-filter terms once per scheme, and tests the fit once per
+triple of groups; a jumped nest enters only through its G, so once per
+pair of companion groups and distinct G.  Each candidate is built by
+`CurveType`'s one checked constructor.  One function settles a list of
+one scheme's candidates: `prove_theorem1` passes all of them, `eliminate`
 passes one.  It checks the scheme and the ablated rule ids once, and
 settles every candidate against one table object (`_SchemeTables`) of
 what depends on the scheme and the ablation alone: per nest-scheme triple
@@ -202,17 +204,22 @@ def _structural_fit(terms: tuple[tuple[Optional[int], int], ...]) -> bool:
     return r1 in (None, g2 + g3) and r2 in (None, g1 + g3) and r3 in (None, g1 + g2)
 
 
-def _typed_options(alpha: int) -> list[tuple[ComplexType, tuple[Optional[int], int]]]:
-    """The unjumped complex types of a nest, each with its `_fit_terms`."""
-    return [(ct, _fit_terms(ct)) for ct in nest_complex_types(alpha, jump_allowed=False)]
+def _typed_options(alpha: int) -> dict[tuple[Optional[int], int], list[ComplexType]]:
+    """The unjumped complex types of a nest, grouped by their `_fit_terms`."""
+    options = {}
+    for ct in nest_complex_types(alpha, jump_allowed=False):
+        options.setdefault(_fit_terms(ct), []).append(ct)
+    return options
 
 
 def no_jump_candidates(scheme: RealScheme) -> list[CurveType]:
-    options = [_typed_options(a) for a in scheme.alpha]
+    by_size = {a: _typed_options(a) for a in set(scheme.alpha)}
+    options = [by_size[a] for a in scheme.alpha]
     out = []
-    for (c1, t1), (c2, t2), (c3, t3) in itertools.product(*options):
-        if _structural_fit((t1, t2, t3)):
-            out.append(CurveType((c1, c2, c3)))
+    for terms in itertools.product(*options):
+        if _structural_fit(terms):
+            groups = (o[t] for o, t in zip(options, terms))
+            out.extend(CurveType(nests) for nests in itertools.product(*groups))
     return sorted(out, key=str)
 
 
@@ -227,28 +234,35 @@ def jump_candidates(scheme: RealScheme) -> list[CurveType]:
 
     The candidates of one jumped nest depend only on the sizes of its two
     companions, in order, so a jumped nest whose companion sizes were
-    already done is skipped.  The text of a candidate does not record the
-    nest sizes, and candidates of different jumped nests can read alike:
-    the list keeps the first of each text, sorted by text.
+    already done is skipped.  The jumped nest, never separating, enters
+    the fit test only through its G: each pair of companion groups is
+    tested once per distinct G, and its pairs serve every jumped nest
+    scheme with that G.  The text of a candidate does not record the nest
+    sizes, and candidates of different jumped nests can read alike: the
+    list keeps the first of each text, sorted by text.
     """
+    options = {a: _typed_options(a) for a in set(scheme.alpha)}
     seen = {}
     done = set()
     for jumped in range(3):
-        others = [x for x in range(3) if x != jumped]
         a_jump = scheme.alpha[jumped]
-        companions = tuple(scheme.alpha[o] for o in others)
+        companions = tuple(a for x, a in enumerate(scheme.alpha) if x != jumped)
         if a_jump < 2 or companions in done:
             continue  # a jump needs two interior groups; or these are listed
         done.add(companions)
-        companion_options = [_typed_options(a) for a in companions]
+        o1, o2 = (options[a] for a in companions)
+        fitting = {}  # the jumped nest's fit terms -> the companion pairs that fit
         for js in enumerate_nest_schemes(a_jump, jump_allowed=True):
             jumped_ct = ComplexType(js, "n")
-            t3 = _fit_terms(jumped_ct)
             jump = _jump_repartition(a_jump, js.diff)
-            for (c1, t1), (c2, t2) in itertools.product(*companion_options):
-                if _structural_fit((t1, t2, t3)):
-                    candidate = CurveType((c1, c2, jumped_ct), jump)
-                    seen.setdefault(str(candidate), candidate)
+            t3 = _fit_terms(jumped_ct)
+            if t3 not in fitting:
+                fitting[t3] = [pair for t1, t2 in itertools.product(o1, o2)
+                               if _structural_fit((t1, t2, t3))
+                               for pair in itertools.product(o1[t1], o2[t2])]
+            for c1, c2 in fitting[t3]:
+                candidate = CurveType((c1, c2, jumped_ct), jump)
+                seen.setdefault(candidate._text, candidate)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -489,7 +503,7 @@ class _SchemeTables:
         all_zones = "exterior_zone" in ablate
 
         def triple(schemes):
-            if sorted(s.alpha for s in schemes) != alphas:
+            if sorted([p + m for _, p, m in schemes]) != alphas:
                 raise EngineError("candidate nests do not match the scheme")
             return pi_delta(schemes), (0, 1, 2, 3) if all_zones else allowed_zones(*schemes)
 
@@ -816,7 +830,7 @@ def _settle(
             branches, witness = _search(ct, tables, pd, zones)
         outcome = "eliminated" if witness is None else "survives"
         traces.append(
-            ProofTrace(str(ct), scheme_text, outcome, zones, stage, branches, witness)
+            ProofTrace(ct._text, scheme_text, outcome, zones, stage, branches, witness)
         )
     return tuple(traces)
 

@@ -38,9 +38,10 @@ class OrevkovTerms(_checked("OrevkovTerms", "pi pi_prime big_n big_m")):
 
 def _terms(scheme: NestScheme) -> tuple[int, int, int, int]:
     """(pi, pi', N, M) for one nest, as a plain tuple."""
-    if scheme.nu == PLUS:
-        return -scheme.diff, 0, 1, 0
-    return 0, scheme.diff, 0, 1
+    nu, a_plus, a_minus = scheme
+    if nu == PLUS:
+        return a_minus - a_plus, 0, 1, 0
+    return 0, a_plus - a_minus, 0, 1
 
 
 def nest_terms(scheme: NestScheme) -> OrevkovTerms:
@@ -73,15 +74,14 @@ def e_values(
     E_0 = sum(pi - N); placing the oval in T_i instead trades nest i's
     (pi, N) for its (pi', M), so E_i = E_0 - pi_i + pi'_i + N_i - M_i.
     """
-    t = (_terms(s1), _terms(s2), _terms(s3))
-    e0 = sum(pi - n for pi, _, n, _ in t)
-    return (e0, *(e0 - pi + pi_prime + n - m for pi, pi_prime, n, m in t))
+    (pi1, pp1, n1, m1), (pi2, pp2, n2, m2), (pi3, pp3, n3, m3) = map(_terms, (s1, s2, s3))
+    e0 = pi1 - n1 + pi2 - n2 + pi3 - n3
+    return e0, e0 - pi1 + pp1 + n1 - m1, e0 - pi2 + pp2 + n2 - m2, e0 - pi3 + pp3 + n3 - m3
 
 
 def allowed_zones(s1: NestScheme, s2: NestScheme, s3: NestScheme) -> tuple[int, ...]:
     """Triangle indices that may hold exterior ovals: those with E_i = 0."""
-    e = e_values(s1, s2, s3)
-    return tuple(i for i in range(4) if e[i] == 0)
+    return tuple([i for i, e in enumerate(e_values(s1, s2, s3)) if not e])
 
 
 def first_formula_residual(

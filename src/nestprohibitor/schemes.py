@@ -418,10 +418,11 @@ class Jump(_checked("Jump", "repartition crossing")):
     group and a second interior group, with sizes (l1, l2, l3); the interior
     groups exhaust the nest, so l1 + l3 = alpha.  The interior imbalance of
     the jumped nest reaches +-2 exactly when all three sizes are odd.
-    crossing=None leaves the crossing/non-crossing alternative open.
-    """
+    crossing=None leaves the crossing/non-crossing alternative open.  Its
+    part of a curve type's text, `_text`, is set once, outside equality,
+    hash and repr."""
 
-    __slots__ = ()
+    __setattr__ = __delattr__ = _frozen
 
     def __new__(cls, repartition: tuple[int, int, int] = (1, 1, 1),
                 crossing: Optional[bool] = None):
@@ -430,7 +431,9 @@ class Jump(_checked("Jump", "repartition crossing")):
             raise SchemeInvariantError("repartition sizes must be three positive ints")
         if not any(crossing is v for v in (None, True, False)):  # by identity: 0 == False
             raise SchemeInvariantError(f"crossing {crossing!r} is not None, True or False")
-        return tuple.__new__(cls, (repartition, crossing))
+        self = tuple.__new__(cls, (repartition, crossing))
+        object.__setattr__(self, "_text", f" | jump {r} {_CROSSING_WORDS[crossing]}")
+        return self
 
     @property
     def all_odd(self) -> bool:
@@ -472,8 +475,7 @@ class CurveType(_checked("CurveType", "nests jump")):
         if p1 - m1 in (2, -2) or p2 - m2 in (2, -2) or (two and jump is None):
             raise SchemeInvariantError("imbalance 2 requires the jump to sit in that nest")
         if jump is not None:
-            repartition, crossing = jump
-            l1, l2, l3 = repartition
+            (l1, l2, l3), _ = jump
             odd = l1 & l2 & l3 & 1
             if c3.tag != "n":
                 raise SchemeInvariantError("a jumped nest is non-separating")
@@ -487,10 +489,8 @@ class CurveType(_checked("CurveType", "nests jump")):
                 raise SchemeInvariantError("an all-odd repartition forces interior imbalance 2")
         self = tuple.__new__(cls, (nests, jump))
         object.__setattr__(self, "schemes", schemes)
-        body = f"{c1._text}, {c2._text}, {c3._text}"
-        if jump is not None:
-            body = f"{body} | jump {repartition} {_CROSSING_WORDS[crossing]}"
-        object.__setattr__(self, "_text", f"[{body}]")
+        tail = "" if jump is None else jump._text
+        object.__setattr__(self, "_text", f"[{c1._text}, {c2._text}, {c3._text}{tail}]")
         return self
 
     def __str__(self) -> str:
@@ -501,9 +501,10 @@ def pi_delta(schemes) -> int:
     """Difference (positive - negative) of injective-pair counts.
 
     A pair is positive exactly when the two ovals carry opposite signs, so
-    each nest contributes -nu * (a_plus - a_minus).
+    each nest contributes nu * (a_minus - a_plus).
     """
-    return -sum(s.nu * s.diff for s in schemes)
+    (n1, p1, m1), (n2, p2, m2), (n3, p3, m3) = schemes
+    return n1 * (m1 - p1) + n2 * (m2 - p2) + n3 * (m3 - p3)
 
 
 def total_pairs(scheme: RealScheme) -> int:

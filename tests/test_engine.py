@@ -21,7 +21,7 @@ from nestprohibitor.engine import (
     _free_assignments,
 )
 from nestprohibitor.ledger import lambda_deficit
-from nestprohibitor.orevkov import f_value, g_value
+from nestprohibitor.orevkov import allowed_zones, e_values, f_value, g_value
 from nestprohibitor.rules import (
     RULES,
     SATISFIED,
@@ -135,6 +135,39 @@ def reference_jump_candidates(scheme):
     return [seen[k] for k in sorted(seen)]
 
 
+def canonical_candidates():
+    """Each of the 458 canonical schemes with its candidates, one at a time."""
+    for scheme in enumerate_three_nest_schemes():
+        yield scheme, candidates(scheme)
+
+
+def reference_pi_delta(triple):
+    """Positive minus negative injective pairs, counted: a pair joins a
+    nest's non-empty oval with an oval inside it and is positive when the
+    two signs differ."""
+    positive = sum(s.a_minus if s.nu == PLUS else s.a_plus for s in triple)
+    negative = sum(s.a_plus if s.nu == PLUS else s.a_minus for s in triple)
+    return positive - negative
+
+
+def reference_terms(s):
+    """(pi, pi', N, M) of one nest: a positive non-empty oval has N = 1 and
+    pi = a_minus - a_plus, a negative one M = 1 and pi' = a_plus - a_minus."""
+    if s.nu == PLUS:
+        return s.a_minus - s.a_plus, 0, 1, 0
+    return 0, s.a_plus - s.a_minus, 0, 1
+
+
+def reference_e_values(triple):
+    """E_0..E_3 summed in full: pi - N over the nests, with nest i's
+    pi' - M in its place when the exterior oval sits in T_i."""
+    terms = [reference_terms(s) for s in triple]
+    return tuple(
+        sum(pp - m if i == zone else pi - n for i, (pi, pp, n, m) in enumerate(terms, 1))
+        for zone in range(4)
+    )
+
+
 class TestCandidateEnumeration:
     def test_no_jump_count_for_all_even(self):
         assert len(no_jump_candidates(SCHEME_2_2_20)) == 40
@@ -198,25 +231,61 @@ class TestCandidateEnumeration:
             assert jump_candidates(scheme) == reference_jump_candidates(scheme), scheme
 
     def test_candidates_equal_the_reference(self):
-        schemes = enumerate_three_nest_schemes(lambda s: s.all_even)
-        schemes += enumerate_three_nest_schemes()[::9]
-        for scheme in schemes:
+        for scheme, found in canonical_candidates():
             expected = reference_no_jump_candidates(scheme) + reference_jump_candidates(scheme)
-            assert candidates(scheme) == expected, scheme
+            assert found == expected, scheme
+            assert [c.schemes for c in found] == [c.schemes for c in expected], scheme
 
     def test_enumerated_candidates_pass_the_public_check(self):
         # the enumerator builds each candidate with the public constructor,
         # so its check ran; rebuilding a candidate gives it back unchanged
-        schemes = enumerate_three_nest_schemes(lambda s: s.all_even)
-        schemes += enumerate_three_nest_schemes()[::9]
-        for scheme in schemes:
-            for c in candidates(scheme):
+        for scheme, found in canonical_candidates():
+            for c in found:
                 checked = CurveType(c.nests, c.jump)
                 assert c == checked and str(c) == str(checked), (scheme, c)
                 assert c.schemes == checked.schemes == tuple(n.scheme for n in c.nests)
 
     def test_per_nest_options_for_alpha_one(self):
         assert len(nest_complex_types(1)) == 8
+
+    def test_fit_runs_once_per_companion_terms_and_jumped_g(self, monkeypatch):
+        # the jumped nest is non-separating, so it enters the fit test only
+        # through its G; a companion enters only through what its tag
+        # requires and its G.  So the test runs at most once per such pair
+        # of companion terms and distinct jumped G, not per jumped scheme.
+        def terms(ct):
+            required = (0 if ct.tag in ("u", "d") else f_value(ct)) if ct.separating else None
+            return required, g_value(ct.scheme)
+
+        calls = []
+        fit = engine._structural_fit
+        monkeypatch.setattr(engine, "_structural_fit", lambda t: calls.append(t) or fit(t))
+        for scheme in enumerate_three_nest_schemes(lambda s: s.all_even):
+            calls.clear()
+            assert jump_candidates(scheme)
+            per_g = per_scheme = 0
+            for companions, a_jump in {
+                (scheme.alpha[:x] + scheme.alpha[x + 1:], a) for x, a in enumerate(scheme.alpha)
+            }:
+                pairs = 1
+                for a in companions:
+                    pairs *= len({terms(ct) for ct in nest_complex_types(a)})
+                jumped = enumerate_nest_schemes(a_jump, jump_allowed=True)
+                per_g += pairs * len({g_value(js) for js in jumped})
+                per_scheme += pairs * len(jumped)
+            assert 0 < len(calls) <= per_g < per_scheme, scheme
+
+
+class TestFieldReaders:
+    def test_triples_equal_the_reference(self):
+        # every nest-scheme triple of the candidates of the 458 canonical
+        # schemes, in the order of its candidate's nests
+        triples = {c.schemes for _, found in canonical_candidates() for c in found}
+        for triple in triples:
+            expected = reference_e_values(triple)
+            assert e_values(*triple) == expected, triple
+            assert allowed_zones(*triple) == tuple(z for z in range(4) if expected[z] == 0)
+            assert pi_delta(triple) == reference_pi_delta(triple), triple
 
 
 class TestEliminateFigure20:
