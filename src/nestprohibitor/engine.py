@@ -22,35 +22,31 @@ passes one.  It checks the scheme and the ablated rule ids once, and
 settles every candidate against one table object (`_SchemeTables`) of
 what depends on the scheme and the ablation alone: per nest-scheme triple
 the nest sizes, allowed zones and Pi_delta; the chain branches, as plain
-rows; the closures; each rule's memo; the net sequences.  An ablated rule
-gets no closure key, so every memo is built as for no ablation; only the
-rules that change the search space (exterior_zone's zones, lemma10's
-identities and budget, the ledger's `evaluate_all`) read the ablated ids.
-The stage
-screen (jump trichotomy, then separating formula) runs first, from the
-scheme's memos: the jump stage closures per (Pi_delta, nu3, crossing), and
-each nest type's (separating, F, G) with one closure key per (nest, F,
-G_j + G_k).  Only a candidate it leaves open is searched, by one function
-(`_search`) that computes what varies per candidate, then loops over the
-chain branches of nests 1, 2 and 3 in three nested loops, each value
-bound at the loop of the nests it reads.  Every branch that asks
-for the same (free zones, budget, deficit) key replays one net sequence,
-built only as far as some branch reads it; each net in it is built once,
-as its triangle values and oval count, and read as built.  The checks
-that read only a net and the branch's screen key (free zones, Pi_delta,
-deficit, chain shares of lambda_0 and lambda_4..lambda_6, jump tier,
-empty-triangle closure) run once per key, in a screen that every branch
-of the key replays as runs of (closure key, count), split at each net it
-leaves open: empty triangles, the jump tier, lambda_0 off |lambda_0| = 3,
-the corners.  The branch checks the open nets itself: the |lambda_0| = 3
-refinement, the oval budget, then a ledger, built only for a net within
-budget (or any net with lemma10 ablated).  The lambda_0 and corner
-bounds are decided from value tables, value -> closure key.  This is
-exact because `_lambda0_violation` reads only lambda_0 unless
-|lambda_0| = 3, and `_triangle_violation` reads only the corner value
-unless it is 3; only such a net builds the predicate's argument tuple.
-That tuple, like the jump tier's and the oval budget's, goes through a
-memo, so each predicate runs once per distinct input in the scheme.  An
+rows; the closures; each rule's memo; the net screens; the eliminated
+branches.  An ablated rule gets no closure key, so every memo is built as
+for no ablation; only the rules that change the search space
+(exterior_zone's zones, lemma10's identities and budget, the ledger's
+`evaluate_all`) read the ablated ids.  The stage screen (jump trichotomy,
+then separating formula) runs first, from the scheme's memos: the jump
+stage closures per (Pi_delta, nu3, crossing), and each nest type's
+(separating, F, G) with one closure key per (nest, F, G_j + G_k).  Only a
+candidate it leaves open is searched, by one function (`_search`) that
+computes what varies per candidate, then loops over the chain branches of
+nests 1, 2 and 3 in three nested loops, each value bound at the loop of
+the nests it reads.  The checks that read only a net and the branch's
+screen key (free zones, Pi_delta, deficit, chain shares of lambda_0 and
+lambda_4..lambda_6, jump tier, empty-triangle closure) run once per key,
+in a net screen: empty triangles, the jump tier, lambda_0 off
+|lambda_0| = 3, the corners.  The screen builds the key's exterior nets,
+each once as its triangle values and oval count, only as far as some
+branch reads it, and every branch of the key replays it as runs of
+(closure key, count), split at each net it leaves open.  The branch
+checks the open nets itself: the |lambda_0| = 3 refinement, the oval
+budget, then a ledger, built only for a net within budget (or any net
+with lemma10 ablated).  Each predicate goes through a memo keyed by its
+inputs, so it runs once per distinct input in the scheme; the lambda_0
+bound's is keyed by lambda_0 alone, which `_lambda0_violation` reads
+alone unless |lambda_0| = 3, and only the branch reads the rest.  An
 eliminated branch that built no ledger keeps its closures under the
 screen key, with what its open nets read if there were any; a later
 branch of that key reuses them.  Closures merge by evidence, not by
@@ -121,29 +117,22 @@ class EngineError(RuntimeError):
 # Chain branches
 
 
-class NestBranch(namedtuple("NestBranch", "label lam0 lam_t eps w pop_t0 pop_t")):
-    """One resolution of a nest's interior-chain contribution: its net
-    contributions `lam0` to zone T0 and `lam_t` to the nest's corner
-    triangle, its base-oval sign `eps`, its nets `w` into the two adjacent
-    quadrangles (low zone first), and the interior ovals it parks in the T0
-    sector (`pop_t0`) and in the corner sector (`pop_t`)."""
-
-    __slots__ = ()
-
-
-def nest_branches(ct: ComplexType, jumped: bool) -> tuple[NestBranch, ...]:
+def nest_branches(ct: ComplexType, jumped: bool) -> tuple[tuple, ...]:
+    """The resolutions of a nest's interior chain, as the plain rows
+    `_search` reads: (label, net contribution to T0, net contribution to
+    the nest's corner triangle, nu + the base-oval sign, the nets into the
+    low and the high adjacent quadrangle, the interior ovals parked in the
+    T0 sector and in the corner sector)."""
     s = ct.scheme
-    alpha = s.alpha
+    alpha, nu = s.alpha, s.nu
     if ct.tag in ("u", "d"):
         sigma = ct.sigma
-        out = [NestBranch("straddle-odd", sigma, 0, -sigma, (0, 0), 1, alpha - 2)]
+        out = [("straddle-odd", sigma, 0, nu - sigma, 0, 0, 1, alpha - 2)]
         if alpha >= 4:
-            out.append(
-                NestBranch("straddle-even", 0, -sigma, sigma, (0, 0), 2, alpha - 3)
-            )
+            out.append(("straddle-even", 0, -sigma, nu + sigma, 0, 0, 2, alpha - 3))
         return tuple(out)
     if ct.tag == "s":
-        return (NestBranch("chain", 0, 0, s.mu, (0, 0), 0, alpha - 1),)
+        return (("chain", 0, 0, nu + s.mu, 0, 0, 0, alpha - 1),)
     branches = []
     triangle_shares = ((-1, 0, 1), (-1, 0, 1)) if jumped else ((0,), (0,))
     for eps in s.available_base_signs():
@@ -159,23 +148,8 @@ def nest_branches(ct: ComplexType, jumped: bool) -> tuple[NestBranch, ...]:
                         label = f"eps={eps:+d},w=({wj:+d},{wk:+d})"
                         if jumped:
                             label = f"jump,{label},t0={s0:+d},t={st:+d}"
-                        branches.append(
-                            NestBranch(label, s0, st, eps, (wj, wk), abs(s0), abs(st))
-                        )
+                        branches.append((label, s0, st, nu + eps, wj, wk, abs(s0), abs(st)))
     return tuple(branches)
-
-
-def _branch_rows(ct: ComplexType, jumped: bool) -> tuple[tuple, ...]:
-    """The chain branches of one nest as the plain rows `_search` reads:
-    (label, lambda_0 share, corner share, nu + epsilon, the nets into the
-    low and the high adjacent quadrangle, whether the branch parks ovals in
-    a triangle, the branch itself)."""
-    nu = ct.scheme.nu
-    rows = []
-    for branch in nest_branches(ct, jumped):
-        label, lam0, lam_t, eps, (w_low, w_high), pop_t0, pop_t = branch
-        rows.append((label, lam0, lam_t, nu + eps, w_low, w_high, bool(pop_t0 or pop_t), branch))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +369,7 @@ def _net_levels(
 
 
 def _free_assignments(
-    free: tuple[int, ...],
-    budget: int,
-    deficit_rhs: Optional[int],
-    sequences: dict[tuple, Iterator[tuple[int, ...]]],
+    free: tuple[int, ...], budget: int, deficit_rhs: Optional[int]
 ) -> Iterator[tuple[int, ...]]:
     """Exterior triangle nets over the free zones, deficit equation applied.
 
@@ -411,28 +382,20 @@ def _free_assignments(
     witness is built).
 
     Nets are ordered by total absolute value, then by the values in the
-    order of `free`.  Every consumer passing the same `sequences` replays
-    one sequence per key: `sequences[key]` is a tee over the runs of
-    `_net_levels` that no consumer advances, and each consumer reads a
-    copy of it.  A net's record is built when the first consumer gets that
-    far, and the tee keeps it for the others; a consumer that stops at a
-    witness never builds the later runs.
+    order of `free`.  The sequence is lazy, one sorted run of `_net_levels`
+    at a time: a consumer that stops at a witness never builds the later
+    runs.
     """
-    key = (free, budget, deficit_rhs)
-    if key not in sequences:
-        # a net padded with (0, its total) gives its record through `spread`
-        spread = operator.itemgetter(
-            *(free.index(z) if z in free else len(free) for z in range(4)), len(free) + 1
-        )
-        nets = (spread((*net, 0, total)) for total, run in _net_levels(*key) for net in run)
-        sequences[key] = itertools.tee(nets, 1)[0]
-    return sequences[key].__copy__()
+    # a net padded with (0, its total) gives its record through `spread`
+    spread = operator.itemgetter(
+        *(free.index(z) if z in free else len(free) for z in range(4)), len(free) + 1
+    )
+    levels = _net_levels(free, budget, deficit_rhs)
+    return (spread((*net, 0, total)) for total, run in levels for net in run)
 
 
 # The quadrangle zones adjacent to nest 0, 1 and 2.
 _QUAD_ZONES = ((2, 3), (1, 3), (1, 2))
-
-_REFINED = object()  # a bound's value whose verdict reads more of the net
 
 
 def _closure_key(
@@ -475,21 +438,20 @@ class _SchemeTables:
 
     `triples` maps a nest-scheme triple to its (Pi_delta, allowed zones),
     its nest sizes checked, and `branch_rows` a (complex type, jumped) pair
-    to its chain branches as `_branch_rows`.  `key_of` keeps a violation's
-    evidence under its closure key, None for no violation or an ablated
-    rule, and `closure_of` maps a (closure key, count) to one shared
-    `Closure`: every closure `_settle` emits comes from these two.  Each
-    rule maps its input to a closure key, or None, through a memo, so its
-    predicate runs once per distinct input in the scheme: `jumps` gives the
-    jump stage closures and the numeric jump tier per (Pi_delta, nu3,
-    crossing); `separating_terms` each nest type's (separating, F, G), and
-    `separating_of` the closure key of each (nest, F, G_j + G_k).  The
-    lambda_0 and corner bounds are keyed by their value alone, but for
-    |lambda_0| = 3 and a corner value 3 (_REFINED), which read more of the
-    net.  `nets` holds the net sequences, one per (free zones, budget,
-    deficit), `screens` the net screens per screen key, and `eliminated`
-    the (closures, nets checked) of each eliminated branch key (see
-    `_search`).
+    to its `nest_branches`.  `key_of` keeps a violation's evidence under
+    its closure key, None for no violation or an ablated rule, and
+    `closure_of` maps a (closure key, count) to one shared `Closure`: every
+    closure `_settle` emits comes from these two.  Each rule maps its input
+    to a closure key, or None, through a memo, so its predicate runs once
+    per distinct input in the scheme: `jumps` gives the jump stage closures
+    and the numeric jump tier per (Pi_delta, nu3, crossing);
+    `separating_terms` each nest type's (separating, F, G), and
+    `separating_of` the closure key of each (nest, F, G_j + G_k);
+    `lambda0_of` is keyed by lambda_0, which decides the bound unless
+    |lambda_0| = 3, `lambda0_refined` by the refinements' inputs at
+    |lambda_0| = 3, and `corner_of` by (value, deficit, zone).  `screens`
+    holds the net screens per screen key, and `eliminated` the (closures,
+    nets checked) of each eliminated branch key (see `_search`).
     No memo refers to the tables, so they need no cycle collector to be
     freed: a screen gets the memos it reads, not the tables.
     """
@@ -508,7 +470,7 @@ class _SchemeTables:
             return pi_delta(schemes), (0, 1, 2, 3) if all_zones else allowed_zones(*schemes)
 
         self.triples = _Memo(triple)
-        self.branch_rows = _Memo(lambda a: _branch_rows(*a))
+        self.branch_rows = _Memo(lambda a: nest_branches(*a))
         evidence = {}  # closure key -> evidence
         key_of = self.key_of = functools.partial(_closure_key, evidence, ablate)
         closure_of = self.closure_of = _Memo(lambda kn: Closure(kn[0][0], evidence[kn[0]], kn[1]))
@@ -516,18 +478,15 @@ class _SchemeTables:
         self.separating_of = _Memo(lambda a: key_of("separating", _separating_violation(*a)))
         self.empty_of = _Memo(lambda t: key_of("empty_triangles", _empty_triangles_violation(t)))
         self.jumps = _Memo(lambda a: _jump_tables(key_of, closure_of, *a))
-        self.lambda0_of = _Memo(lambda v: _REFINED if abs(v) == 3 else key_of(
+        self.lambda0_of = _Memo(lambda v: key_of(
             "lambda0_bound", _lambda0_violation(v, None, None, None)))
         # (lambda_0, all separating, epsilon sum, Q1..Q3 left empty) at
         # magnitude 3
         self.lambda0_refined = _Memo(lambda a: key_of("lambda0_bound", _lambda0_violation(
             a[0], a[1], a[2],
             tuple(q for q, empty in zip((1, 2, 3), a[3:]) if empty) if identities else None)))
-        self.corners_of = tuple(_Memo(lambda v, zone=zone: _REFINED if v == 3 else key_of(
-            "triangle_bound", _triangle_violation(v, None, zone))) for zone in (1, 2, 3))
-        self.corner_refined = _Memo(lambda a: key_of("triangle_bound", _triangle_violation(*a)))
+        self.corner_of = _Memo(lambda a: key_of("triangle_bound", _triangle_violation(*a)))
         self.over_budget = _Memo(lambda a: key_of("lemma10", _budget_violation(a[0], beta, a[1:])))
-        self.nets: dict[tuple, Iterator[tuple[int, ...]]] = {}
         self.screens: dict[tuple, Iterator[tuple]] = {}
         self.eliminated: dict[tuple, tuple[tuple[Closure, ...], int]] = {}
 
@@ -537,23 +496,23 @@ class _SchemeTables:
         if key not in self.screens:
             zones, _, deficit_rhs, sh0, t4, t5, t6, jump, empty_key = key
             screen = _screen(
-                _free_assignments(zones, self.beta, deficit_rhs, self.nets), sh0, t4, t5, t6,
-                self.jumps[jump][1] if jump else None, empty_key,
-                self.lambda0_of, self.corners_of, self.corner_refined,
+                _free_assignments(zones, self.beta, deficit_rhs), sh0, t4, t5, t6,
+                self.jumps[jump][1] if jump else None, empty_key, self.lambda0_of, self.corner_of,
             )
             self.screens[key] = itertools.tee(screen, 1)[0]
         return self.screens[key].__copy__()
 
 
-def _screen(nets, sh0, t4, t5, t6, jump_of, empty_key, lambda0_of, corners, corner_refined):
-    """`_search`'s checks of one net sequence that read only the net and the
-    screen key: empty triangles, the jump tier, lambda_0, the corners.
+def _screen(nets, sh0, t4, t5, t6, jump_of, empty_key, lambda0_of, corner_of):
+    """`_search`'s checks of the nets of one screen key that read only the
+    net and the key: empty triangles, the jump tier, lambda_0, the corners.
 
-    A net none closes, or with |lambda_0| = 3, is left open.  Yields
-    (runs, seen, net, corner) at each open net and at the end: the (closure
-    key, count) pairs of the nets closed since the last yield, in first-net
-    order; the nets read; the open net's record and corner closure key, or
-    None and None at the end.
+    A net none of them closes is left open, and so is a net that reaches
+    the lambda_0 check at |lambda_0| = 3, whose bound reads the branch.
+    Yields (runs, seen, net, corner) at each open net and at the end: the
+    (closure key, count) pairs of the nets closed since the last yield, in
+    first-net order; the nets read; the open net's record and corner
+    closure key, or None and None at the end.
     """
     runs: dict[tuple, int] = {}
     seen = 0
@@ -566,15 +525,9 @@ def _screen(nets, sh0, t4, t5, t6, jump_of, empty_key, lambda0_of, corners, corn
             key = jump_of[deficit, lam0 - lam4 - lam5, lam6]
         refined = False
         if not key:
-            key = lambda0_of[lam0]
-            refined = key is _REFINED
-            if refined or not key:
-                for zone, corner, value in zip((1, 2, 3), corners, (lam4, lam5, lam6)):
-                    key = corner[value]
-                    if key is _REFINED:
-                        key = corner_refined[value, deficit, zone]
-                    if key:
-                        break
+            refined = lam0 in (3, -3)  # lambda0_of gives these no key
+            key = (lambda0_of[lam0] or corner_of[lam4, deficit, 1]
+                   or corner_of[lam5, deficit, 2] or corner_of[lam6, deficit, 3])
         if key and not refined:
             runs[key] = runs.get(key, 0) + 1
         else:
@@ -612,19 +565,20 @@ def _search(
     open.  Returns the branch records and the witness, or None.
 
     First the values that vary per candidate; then three nested loops over
-    the `_branch_rows` of nests 1, 2 and 3, each value bound at the loop of
-    the nests it reads: the sums over nests 1 and 2 (lambda_0 share, nu +
-    epsilon, Q3's identity and chain net) in the second loop, the rest in
-    the third; inside it, one loop over the branch's exterior nets, in
-    `_free_assignments` order.  The first rule that fires closes a net, in
-    the order empty triangles, jump, lambda_0, the corners T1..T3, then the
-    oval budget of lemma10; a net none closes goes on to a ledger build,
-    and the first ledger every rule accepts is the witness and ends the
-    search.  A branch replays the `_screen` of its key and checks only the
-    nets it leaves open, unless an eliminated branch that built no ledger
-    recorded its closures and count under its key: the screen key when the
-    screen left no net open, else that and what the open nets read (the
-    problem key, built only when the screen key misses).
+    the `nest_branches` rows of nests 1, 2 and 3, each value bound at the
+    loop of the nests it reads: the sums over nests 1 and 2 (lambda_0
+    share, nu + epsilon, Q3's identity and chain net) in the second loop,
+    the rest in the third; inside it, one loop over the branch's exterior
+    nets, in `_free_assignments` order.  The first rule that fires closes
+    a net, in the order empty triangles, jump, lambda_0, the corners
+    T1..T3, then the oval budget of lemma10; a net none closes goes on to a
+    ledger build, and the first ledger every rule accepts is the witness
+    and ends the search.  A branch replays the `_screen` of its key, built
+    once per key, and checks only the nets it leaves open, unless an
+    eliminated branch that built no ledger recorded its closures and count
+    under its key: the screen key when the screen left no net open, else
+    that and what the open nets read (the problem key, built only when the
+    screen key misses).
     Closures merge by evidence, not by the predicate inputs that produced
     it: with `lemma10` ablated, nets of different deficits with lambda_4 = 5
     share one corner evidence, which records no deficit, and count as one
@@ -650,16 +604,19 @@ def _search(
     closure_of = tables.closure_of.__getitem__
 
     records = []
-    for label1, sh1, t4, ne1, lo1, hi1, pop1, b1 in rows1:
-        for label2, sh2, t5, ne2, lo2, hi2, pop2, b2 in rows2:
+    for b1 in rows1:
+        label1, sh1, t4, ne1, lo1, hi1, in01, in1 = b1
+        for b2 in rows2:
+            label2, sh2, t5, ne2, lo2, hi2, in02, in2 = b2
             sh12 = sh1 + sh2
             ne12 = ne1 + ne2
             rhs3 = -ne12 // 2  # right-hand side of Q3's identity
             w3 = hi1 + hi2  # the chains' net into Q3; see _QUAD_ZONES
-            pop12 = pop1 or pop2
-            for label3, sh3, t6, ne3, lo3, hi3, pop3, b3 in rows3:
+            pop12 = in01 or in1 or in02 or in2  # interior ovals parked in a triangle
+            for b3 in rows3:
+                label3, sh3, t6, ne3, lo3, hi3, in03, in3 = b3
                 labels = (label1, label2, label3)
-                no_pop = not (pop12 or pop3)
+                no_pop = not (pop12 or in03 or in3)
 
                 # Triangles forced empty: the list rule applies before any solving.
                 if no_pop and empty_closed:
@@ -751,16 +708,17 @@ def _feasible_ledger(
     identities' quadrangle values, or None when they need more ovals than
     beta (only with lemma10 ablated)."""
     beta = tables.beta
+    schemes = curve_type.schemes
     ext_pops = tuple(map(abs, net[:4]))
     ext_used = net[4]
     pops = [ext_pops[0], 0, 0, 0, *ext_pops[1:]]
     quad_int = [0, 0, 0, 0]  # zone-indexed, entries 1..3 used
-    for i, (b, ct) in enumerate(zip(branches, curve_type.nests)):
+    for i, ((*_, w_high, in_t0, in_t), s) in enumerate(zip(branches, schemes)):
         zj, zk = _QUAD_ZONES[i]
-        pops[0] += b.pop_t0
-        pops[4 + i] += b.pop_t
-        quad_int[zj] += ct.scheme.alpha - 1 - b.pop_t0 - b.pop_t - abs(b.w[1])
-        quad_int[zk] += abs(b.w[1])
+        pops[0] += in_t0
+        pops[4 + i] += in_t
+        quad_int[zj] += s.alpha - 1 - in_t0 - in_t - abs(w_high)
+        quad_int[zk] += abs(w_high)
     if pinned is not None:
         # the identities' solution, the preferred witness shape even
         # when they are ablated (keeps ablation monotone)
@@ -776,7 +734,7 @@ def _feasible_ledger(
     pops[1] += beta - ext_used - sum(abs(v) for v in y)  # the leftover ovals
 
     lam = (lam0, *lam123, *lam456)
-    eps = (*(s.nu for s in curve_type.schemes), *(b.eps for b in branches))
+    eps = (*(s.nu for s in schemes), *(b[3] - s.nu for b, s in zip(branches, schemes)))
     lambda_delta = sum(lam) + sum(eps)
     if (OVALS + lambda_delta) % 2:
         raise EngineError("parity failure in the ledger build")

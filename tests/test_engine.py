@@ -425,6 +425,56 @@ class TestSatisfiability:
             )
 
 
+def _chain_model(ct, jumped):
+    """Reference: the chain branches of the interior-chain model in the
+    engine's docstring, as rows (label, share of lambda_0, share of the
+    corner, nu + base sign, nets into the low and high quadrangle, interior
+    ovals parked in the T0 sector and in the corner sector).
+
+    A nest has alpha - 1 interior ovals beside its base.  A separating even
+    nest straddles T0 with a central run of k = 1 or 2 of them, the rest in
+    its corner: the odd run adds sigma to lambda_0 under base sign -sigma,
+    the even run -sigma to the corner under base sign +sigma.  A separating
+    odd nest parks its chain in the corner, its base carrying the imbalance
+    sign.  A non-separating chain splits the imbalance left by its base
+    between its two quadrangles, one net oval at most each, and a jumped one
+    also puts at most one net oval in T0 and one in its corner."""
+    s = ct.scheme
+    inner = s.alpha - 1
+    if ct.tag in ("u", "d"):
+        sigma = ct.sigma
+        runs = (("straddle-odd", 1, (sigma, 0), -sigma), ("straddle-even", 2, (0, -sigma), sigma))
+        return [(label, *shares, s.nu + base, 0, 0, k, inner - k)
+                for label, k, shares, base in runs if k <= inner]
+    if ct.tag == "s":
+        return [("chain", 0, 0, s.nu + s.mu, 0, 0, 0, inner)]
+    signs = [sign for sign, count in ((PLUS, s.a_plus), (MINUS, s.a_minus)) if count]
+    one = (-1, 0, 1)
+    loose = one if jumped else (0,)
+    rows = []
+    for base, t0, t, w_low, w_high in itertools.product(signs, loose, loose, one, one):
+        nets = (t0, t, w_low, w_high)
+        if sum(nets) != s.diff - base or sum(map(abs, nets)) > inner:
+            continue
+        label = f"eps={base:+d},w=({w_low:+d},{w_high:+d})"
+        if jumped:
+            label = f"jump,{label},t0={t0:+d},t={t:+d}"
+        rows.append((label, t0, t, s.nu + base, w_low, w_high, abs(t0), abs(t)))
+    return rows
+
+
+class TestNestBranches:
+    @pytest.mark.parametrize("alpha", range(1, 10))
+    def test_rows_follow_the_chain_model(self, alpha):
+        tags = set()
+        for ct in nest_complex_types(alpha, jump_allowed=True):
+            for jumped in (False, True):
+                rows = engine.nest_branches(ct, jumped)
+                assert type(rows) is tuple and list(rows) == _chain_model(ct, jumped), (ct, jumped)
+            tags.add(ct.tag)
+        assert tags == ({"n", "u", "d"} if alpha % 2 == 0 else {"n", "s"})
+
+
 def _eager_free_assignments(free, budget, deficit_rhs):
     """Reference: build the whole net product, sort it by (total, values)."""
 
@@ -476,19 +526,11 @@ class TestFreeAssignments:
             for deficit_rhs in (None, *range(-8, 9)):
                 key = (free, budget, deficit_rhs)
                 eager = [_record(free, v) for v in _eager_free_assignments(*key)]
-                assert list(_free_assignments(*key, {})) == eager, key
-                # A consumer that stops halfway builds the shared sequence
-                # only so far; the next one extends it to the end.
-                sequences = {}
-                half = len(eager) // 2
-                assert list(itertools.islice(_free_assignments(*key, sequences), half)) == (
-                    eager[:half]
-                ), key
-                assert list(_free_assignments(*key, sequences)) == eager, key
+                assert list(_free_assignments(*key)) == eager, key
 
     def test_first_net_at_a_large_budget(self):
         free = (0, 1, 2, 3)
-        first = list(itertools.islice(_free_assignments(free, 25, 1, {}), 1))
+        first = list(itertools.islice(_free_assignments(free, 25, 1), 1))
         assert first == [_record(free, next(_eager_free_assignments(free, 25, 1)))]
 
 
@@ -802,8 +844,8 @@ class TestSeparatingStage:
 class TestSettle:
     # prove_theorem1 settles a scheme's candidates in one _settle call,
     # against one _SchemeTables that holds the per-triple entries, the chain
-    # branches, the closures, the rule memos and the net sequences;
-    # eliminate settles one candidate alone.
+    # branches, the closures, the rule memos, the net screens and the
+    # eliminated branches; eliminate settles one candidate alone.
     @pytest.mark.parametrize("scheme, ablate", CONTEXT_CASES)
     def test_scheme_run_equals_standalone_eliminate(self, scheme, ablate):
         real = parse_real_scheme(scheme)
@@ -834,6 +876,30 @@ class TestSettle:
             assert tables and all(ref() is None for ref in tables)
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("ablate", [(), ("lemma10",)])
+    def test_each_screen_key_builds_its_nets_once(self, monkeypatch, ablate):
+        # A screen builds the nets of its key, and the branches of the key
+        # replay the screen, so no branch builds nets of its own.
+        tables, calls = [], []
+        build = engine._SchemeTables.__init__
+        net_levels = engine._net_levels
+
+        def tracked_tables(self, *args):
+            tables.append(self)
+            build(self, *args)
+
+        def counted_net_levels(*args):
+            calls.append(args)
+            return net_levels(*args)
+
+        monkeypatch.setattr(engine._SchemeTables, "__init__", tracked_tables)
+        monkeypatch.setattr(engine, "_net_levels", counted_net_levels)
+        scheme = parse_real_scheme("<J + 1<5> + 1<5> + 1<9> + 6>")
+        report = prove_theorem1(ablate=ablate, schemes=[scheme])
+        assert sum(len(t.branches) for t in report.results[0].traces) > 4 * len(calls) > 0
+        (scheme_tables,) = tables
+        assert len(calls) <= len(scheme_tables.screens)
 
     def test_branches_share_the_screens_and_the_eliminated_branches(self, monkeypatch):
         # Screens and eliminated branches are keyed by branch offsets, never

@@ -1,11 +1,15 @@
-"""The package's public surface: every exported name resolves, the import
-stays light, and no value of a checked type skips its constructor."""
+"""The package's public surface: every exported name resolves, every
+module-level name is read or exported, the import stays light, and no
+value of a checked type skips its constructor."""
 
+import ast
 import copy
 import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,47 @@ def test_star_import_binds_every_exported_name():
     exec("from nestprohibitor import *", namespace)
     for name in nestprohibitor.__all__:
         assert namespace[name] is getattr(nestprohibitor, name)
+
+
+def _references(node: ast.AST) -> Counter:
+    """The names `node` reads, as bare names or as attributes."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+    return names
+
+
+def _unreferenced_module_names() -> list[str]:
+    """The module-level functions, classes and variables of the package that
+    no code in it reads, outside their own definition, and that `__all__`
+    does not export."""
+    package = Path(nestprohibitor.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    read = sum((_references(tree) for tree in trees.values()), Counter())
+    unreferenced = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _references(stmt)
+            for name in defined:
+                exported = name in nestprohibitor.__all__ or name.startswith("__")
+                if not exported and read[name] == own[name]:
+                    unreferenced.append(f"{module}.{name}")
+    return unreferenced
+
+
+def test_every_module_level_name_is_read_or_exported():
+    assert _unreferenced_module_names() == []
 
 
 def _modules_the_import_adds(module: str = "nestprohibitor") -> list[str]:

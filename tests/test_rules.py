@@ -159,9 +159,11 @@ class TestTriangleBound:
 
 
 class TestBoundsReadOneValue:
-    # The engine decides lambda0_bound and triangle_bound from a table keyed
-    # by the bounded value alone, and takes the other inputs only where
-    # these facts say the value does not settle the verdict.
+    # The engine's net screen decides lambda0_bound from a memo keyed by
+    # lambda_0 alone, and leaves |lambda_0| = 3 to the branch, which reads
+    # the refinements' inputs; the first fact makes that exact.  The corner
+    # memo is keyed by (value, deficit, zone), and the second fact says why
+    # corner closures off the value 3 merge: their evidence holds no deficit.
 
     def test_lambda0_off_magnitude_3_reads_lambda0_alone(self):
         others = list(itertools.product(
