@@ -1,5 +1,6 @@
 """Orientation ledger: the degree formula, the five identities, JSON."""
 
+import enum
 import json
 import random
 
@@ -193,6 +194,10 @@ GOOD = dict(
 )
 
 
+class _Count(enum.IntEnum):
+    ONE = 1
+
+
 class TestFieldTypes:
     # The constructor checks each field's type, so a ledger built in
     # Python meets the same rules as one read from JSON.
@@ -210,6 +215,55 @@ class TestFieldTypes:
     def test_wrong_type_is_refused(self, field, value, message):
         with pytest.raises(LedgerError, match=message):
             OrientationLedger(**{**GOOD, field: value})
+
+    # Each refusal's whole message, pinned.
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("lam", (0,) * 6, "lambda and populations have 7 entries, epsilon 6"),
+            ("eps", (1, 1, 1, -1, -1, -1, 1), "lambda and populations have 7 entries, epsilon 6"),
+            ("eps", (1, 1, 1, -1, -1, 0), "epsilon entries are signs"),
+            ("zone_pop", (0, 0, 0, True, 0, 0, 0),
+             "field 'zonePop' must be a list of integers (a tuple here)"),
+            ("lam", (0, 0, _Count.ONE, 0, 0, 0, 0),
+             "field 'lambda' must be a list of integers (a tuple here)"),
+            ("pi_plus", _Count.ONE, "field 'PiPlus' must be an integer"),
+        ],
+        ids=["lam-6", "eps-7", "eps-0", "bool-in-pop", "intenum-entry", "intenum-field"],
+    )
+    def test_exact_refusal(self, field, value, message):
+        with pytest.raises(LedgerError) as refused:
+            OrientationLedger(**{**GOOD, field: value})
+        assert str(refused.value) == message
+
+
+class TestValidationMessages:
+    # The first failing check's whole message, pinned: zones in order, then
+    # the totals.
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(zone_pop=(0, 0, -2, 0, 0, 0, -1)), "zone Q2 population is negative"),
+            (dict(lam=(0, 0, 0, 0, 0, 3, 0), zone_pop=(0, 0, 0, 0, 0, 1, 0), lambda_plus=15,
+                  lambda_minus=13), "zone T2: |lambda|=3 exceeds population 1"),
+            (dict(lam=(0, 0, 0, 0, 0, 0, 1), zone_pop=(0, 0, 0, 0, 0, 0, 2)),
+             "zone T3: lambda/population parity mismatch"),
+            (dict(lambda_plus=15), "Lambda+ + Lambda- must equal 28"),
+            (dict(lambda_plus=15, lambda_minus=13),
+             "Lambda+ - Lambda- must equal sum(lambda) + sum(epsilon)"),
+            (dict(pi_plus=-1, pi_minus=1), "pair counts are non-negative"),
+        ],
+        ids=["negative", "exceeds", "parity", "lambda-total", "lambda-delta", "pairs"],
+    )
+    def test_exact_message(self, changes, message):
+        with pytest.raises(LedgerError) as refused:
+            OrientationLedger(**{**GOOD, **changes}).validate()
+        assert str(refused.value) == message
+
+    def test_pair_total_message(self):
+        with pytest.raises(LedgerError) as refused:
+            OrientationLedger(**{**GOOD, "pi_plus": 2}).validate(total_pairs=3)
+        assert str(refused.value) == "Pi+ + Pi- must equal the nest-interior total 3"
 
 
 class TestJson:

@@ -1,5 +1,6 @@
 """Rule catalog: verdicts on the documented cases, evidence discipline."""
 
+import hashlib
 import itertools
 import json
 
@@ -329,6 +330,96 @@ class TestCatalog:
         ledger = make_ledger(pi_plus=8, pi_minus=4)
         for verdict in evaluate_all(with_ledger(ledger)).values():
             assert (verdict.status == VIOLATED) == (verdict.evidence is not None)
+
+
+# The `highbeta` benchmark schemes of seed 1, nest sizes in canonical order.
+HIGHBETA_SEED1 = [(1, 1, 1), (1, 1, 6), (1, 2, 5), (1, 2, 8), (1, 3, 6), (2, 2, 5), (2, 2, 6), (2, 3, 6)]
+
+
+def _with_lam(c, zone, value):
+    lam = list(c.ledger.lam)
+    lam[zone] = value
+    return c._replace(ledger=c.ledger._replace(lam=tuple(lam)))
+
+
+def _flip_first_even_tag(c):
+    nests = list(c.curve_type.nests)
+    for i, ct in enumerate(nests):
+        if ct.tag in ("u", "d"):
+            nests[i] = ComplexType(ct.scheme, "d" if ct.tag == "u" else "u")
+            return c._replace(curve_type=CurveType(tuple(nests), c.curve_type.jump))
+    return c
+
+
+def _first_violating(witnesses, rule_id, mutate):
+    for c in witnesses:
+        mutant = mutate(c)
+        if RULES[rule_id].check(mutant).status == VIOLATED:
+            return mutant
+    raise AssertionError(f"no mutant violates {rule_id}")
+
+
+@pytest.fixture(scope="module")
+def pinned_candidates():
+    """Every candidate whose ledger the engine confirms while settling the
+    seed-1 `highbeta` schemes, each also with only its curve type and with
+    only its ledger, plus one mutant per rule that violates that rule."""
+    from nestprohibitor import engine
+
+    witnesses = []
+    confirm = engine.evaluate_all
+
+    def recording(candidate, ablate=()):
+        witnesses.append(candidate)
+        return confirm(candidate, ablate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "evaluate_all", recording)
+        engine.prove_theorem1(schemes=[RealScheme(a, 25 - sum(a)) for a in HIGHBETA_SEED1])
+    assert len(witnesses) == 470
+    w0 = witnesses[0]
+    l0 = w0.ledger
+    mutants = [
+        w0._replace(ledger=l0._replace(pi_plus=l0.pi_plus + 1, pi_minus=l0.pi_minus - 1)),
+        _with_lam(w0, 1, l0.lam[1] + 2),
+        _with_lam(w0, 0, -5),
+        _with_lam(w0, 5, -3),
+        _first_violating(witnesses, "exterior_zone",
+                         lambda c: c._replace(exterior_triangle_pops=(1, 1, 1, 1))),
+        _first_violating(witnesses, "separating", _flip_first_even_tag),
+        w0._replace(triangles_empty=True),
+        _first_violating([c for c in witnesses if c.curve_type.jump], "jump",
+                         lambda c: _with_lam(c, 6, c.ledger.lam[6] + 2)),
+    ]
+    for rule_id, mutant in zip(RULE_ORDER, mutants):
+        assert RULES[rule_id].check(mutant).status == VIOLATED, rule_id
+    stripped = [Candidate(curve_type=c.curve_type) for c in witnesses]
+    bare = [
+        Candidate(ledger=c.ledger, t0_only_exterior=True, t_only_exterior=(True, None, False))
+        for c in witnesses
+    ]
+    return witnesses + stripped + bare + mutants
+
+
+class TestEvaluateAllPinned:
+    # The verdicts of the whole catalog, pinned by hash, under no ablation
+    # and under every single one.
+    PINNED = (90752, "2a88f50272161c72b44a9577a36a4b031b55c78b32a1a89ce250abed2b32aa43")
+
+    def test_verdicts_are_pinned(self, pinned_candidates):
+        rows = []
+        seen = set()
+        for ablate in [()] + [(r,) for r in RULE_ORDER]:
+            for c in pinned_candidates:
+                verdicts = evaluate_all(c, ablate)
+                assert list(verdicts) == [r for r in RULE_ORDER if r not in ablate]
+                for rule_id, v in verdicts.items():
+                    assert v.rule_id == rule_id
+                    seen.add((rule_id, v.status))
+                    rows.append([rule_id, v.status, v.evidence])
+        assert seen == {(r, s) for r in RULE_ORDER for s in (SATISFIED, INAPPLICABLE, VIOLATED)}
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert (len(rows), digest) == self.PINNED
 
 
 class TestInformationMonotonicity:
