@@ -178,16 +178,20 @@ def _structural_fit(terms: tuple[tuple[Optional[int], int], ...]) -> bool:
     return r1 in (None, g2 + g3) and r2 in (None, g1 + g3) and r3 in (None, g1 + g2)
 
 
-def _typed_options(alpha: int) -> dict[tuple[Optional[int], int], list[ComplexType]]:
-    """The unjumped complex types of a nest, grouped by their `_fit_terms`."""
-    options = {}
-    for ct in nest_complex_types(alpha, jump_allowed=False):
-        options.setdefault(_fit_terms(ct), []).append(ct)
-    return options
+def _typed_options(scheme: RealScheme) -> dict[int, dict[tuple, list[ComplexType]]]:
+    """Per nest size of the scheme, its unjumped complex types by `_fit_terms`."""
+    by_size = {a: {} for a in set(scheme.alpha)}
+    for alpha, options in by_size.items():
+        for ct in nest_complex_types(alpha, jump_allowed=False):
+            options.setdefault(_fit_terms(ct), []).append(ct)
+    return by_size
 
 
 def no_jump_candidates(scheme: RealScheme) -> list[CurveType]:
-    by_size = {a: _typed_options(a) for a in set(scheme.alpha)}
+    return _no_jump_candidates(scheme, _typed_options(scheme))
+
+
+def _no_jump_candidates(scheme: RealScheme, by_size: dict) -> list[CurveType]:
     options = [by_size[a] for a in scheme.alpha]
     out = []
     for terms in itertools.product(*options):
@@ -215,7 +219,10 @@ def jump_candidates(scheme: RealScheme) -> list[CurveType]:
     sizes, and candidates of different jumped nests can read alike: the
     list keeps the first of each text, sorted by text.
     """
-    options = {a: _typed_options(a) for a in set(scheme.alpha)}
+    return _jump_candidates(scheme, _typed_options(scheme))
+
+
+def _jump_candidates(scheme: RealScheme, options: dict) -> list[CurveType]:
     seen = {}
     done = set()
     for jumped in range(3):
@@ -394,10 +401,6 @@ def _free_assignments(
     return (spread((*net, 0, total)) for total, run in levels for net in run)
 
 
-# The quadrangle zones adjacent to nest 0, 1 and 2.
-_QUAD_ZONES = ((2, 3), (1, 3), (1, 2))
-
-
 def _closure_key(
     evidence: dict, ablate: tuple[str, ...], rule_id: str, violation: Optional[dict]
 ) -> Optional[tuple]:
@@ -457,9 +460,9 @@ class _SchemeTables:
     """
 
     def __init__(self, scheme: RealScheme, ablate: tuple[str, ...]):
-        self.scheme = scheme
         self.ablate = ablate
         beta = self.beta = scheme.beta
+        self.pairs = total_pairs(scheme)
         identities = self.identities = "lemma10" not in ablate
         alphas = sorted(scheme.alpha)
         all_zones = "exterior_zone" in ablate
@@ -611,7 +614,7 @@ def _search(
             sh12 = sh1 + sh2
             ne12 = ne1 + ne2
             rhs3 = -ne12 // 2  # right-hand side of Q3's identity
-            w3 = hi1 + hi2  # the chains' net into Q3; see _QUAD_ZONES
+            w3 = hi1 + hi2  # the chains' net into Q3
             pop12 = in01 or in1 or in02 or in2  # interior ovals parked in a triangle
             for b3 in rows3:
                 label3, sh3, t6, ne3, lo3, hi3, in03, in3 = b3
@@ -679,8 +682,7 @@ def _search(
                     memo_key = None  # a ledger reads all of the branch
                     witness = _feasible_ledger(
                         curve_type, tables, pd, (b1, b2, b3), net, (w1, w2, w3),
-                        lam0, (lam4, lam5, lam6), (p1, p2, p3) if required <= beta else None,
-                        tally,
+                        lam0, (lam4, lam5, lam6), (p1, p2, p3) if required <= beta else None, tally,
                     )
                     if witness is not None:
                         closures = tuple(map(closure_of, tally.items()))
@@ -706,60 +708,51 @@ def _feasible_ledger(
     leave open, or None when a rule closes it, counted in `tally`.
     `quad_net` is the branch's chain nets into Q1..Q3, and `pinned` the
     identities' quadrangle values, or None when they need more ovals than
-    beta (only with lemma10 ablated)."""
+    beta (only with lemma10 ablated).  Every entry is computed in closed
+    form from the three branch rows, the nest schemes and the net."""
     beta = tables.beta
-    schemes = curve_type.schemes
-    ext_pops = tuple(map(abs, net[:4]))
-    ext_used = net[4]
-    pops = [ext_pops[0], 0, 0, 0, *ext_pops[1:]]
-    quad_int = [0, 0, 0, 0]  # zone-indexed, entries 1..3 used
-    for i, ((*_, w_high, in_t0, in_t), s) in enumerate(zip(branches, schemes)):
-        zj, zk = _QUAD_ZONES[i]
-        pops[0] += in_t0
-        pops[4 + i] += in_t
-        quad_int[zj] += s.alpha - 1 - in_t0 - in_t - abs(w_high)
-        quad_int[zk] += abs(w_high)
+    (_, _, _, ne1, _, hi1, in01, in1), (_, _, _, ne2, _, hi2, in02, in2), (
+        _, _, _, ne3, _, hi3, in03, in3) = branches
+    (nu1, p1, m1), (nu2, p2, m2), (nu3, p3, m3) = curve_type.schemes
+    x0, x1, x2, x3, ovals = net
+    w1, w2, w3 = quad_net
     if pinned is not None:
         # the identities' solution, the preferred witness shape even
         # when they are ablated (keeps ablation monotone)
-        lam123 = pinned
-        y = [p - w for p, w in zip(pinned, quad_net)]
+        lam1, lam2, lam3 = pinned
+        y2, y3 = lam2 - w2, lam3 - w3
     else:
         # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1;
         # with no deficit identity every net keeps within beta
-        y = [(beta - ext_used) % 2, 0, 0]
-        lam123 = tuple(w + v for w, v in zip(quad_net, y))
-    for q in (1, 2, 3):
-        pops[q] = abs(y[q - 1]) + quad_int[q]
-    pops[1] += beta - ext_used - sum(abs(v) for v in y)  # the leftover ovals
-
-    lam = (lam0, *lam123, *lam456)
-    eps = (*(s.nu for s in schemes), *(b[3] - s.nu for b, s in zip(branches, schemes)))
-    lambda_delta = sum(lam) + sum(eps)
+        lam1, lam2, lam3 = w1 + (beta - ovals) % 2, w2, w3
+        y2 = y3 = 0
+    # A chain's interior ovals, less its base oval and those parked in the
+    # triangles, lie in the two quadrangles beside its nest: |high net| in
+    # the high one (Q3, Q3, Q2 for nests 1..3), the rest in the low one
+    # (Q2, Q1, Q1).  Q1 also holds the exterior ovals that the net and the
+    # quadrangle nets leave.
+    h1, h2, h3 = abs(hi1), abs(hi2), abs(hi3)
+    t0, t1, t2, t3 = abs(x0) + in01 + in02 + in03, abs(x1) + in1, abs(x2) + in2, abs(x3) + in3
+    q1 = (p2 + m2 - 1 - in02 - in2 - h2) + (p3 + m3 - 1 - in03 - in3 - h3) + beta - ovals
+    q2 = p1 + m1 - 1 - in01 - in1 - h1 + h3 + abs(y2)
+    zone_pop = (t0, q1 - abs(y2) - abs(y3), q2, h1 + h2 + abs(y3), t1, t2, t3)
+    lam4, lam5, lam6 = lam456
+    lambda_delta = lam0 + lam1 + lam2 + lam3 + lam4 + lam5 + lam6 + ne1 + ne2 + ne3
     if (OVALS + lambda_delta) % 2:
         raise EngineError("parity failure in the ledger build")
-    pairs = total_pairs(tables.scheme)
+    pairs = tables.pairs
     ledger = OrientationLedger(
-        lam=lam,
-        eps=eps,
-        lambda_plus=(OVALS + lambda_delta) // 2,
-        lambda_minus=(OVALS - lambda_delta) // 2,
-        pi_plus=(pairs + pd) // 2,
-        pi_minus=(pairs - pd) // 2,
-        zone_pop=tuple(pops),
+        (lam0, lam1, lam2, lam3, lam4, lam5, lam6),
+        (nu1, nu2, nu3, ne1 - nu1, ne2 - nu2, ne3 - nu3),
+        (OVALS + lambda_delta) // 2, (OVALS - lambda_delta) // 2,
+        (pairs + pd) // 2, (pairs - pd) // 2, zone_pop,
     )
-    ledger.validate(total_pairs=pairs)
-
+    ledger.validate(pairs)
     candidate = Candidate(
-        curve_type=curve_type,
-        ledger=ledger,
-        t0_only_exterior=True,
-        t_only_exterior=(True, True, True),
-        triangles_empty=all(p == 0 for p in (pops[0], pops[4], pops[5], pops[6])),
-        exterior_triangle_pops=ext_pops,
+        curve_type, ledger, True, (True, True, True), t0 == t1 == t2 == t3 == 0,
+        (abs(x0), abs(x1), abs(x2), abs(x3)),
     )
-    verdicts = evaluate_all(candidate, ablate=tables.ablate)
-    for rule_id, verdict in verdicts.items():
+    for rule_id, verdict in evaluate_all(candidate, tables.ablate).items():
         if verdict.status == VIOLATED:
             key = tables.key_of(rule_id, verdict.evidence)
             tally[key] = tally.get(key, 0) + 1
@@ -861,10 +854,12 @@ def prove_theorem1(
     """Eliminate every candidate for the all-even three-nest schemes."""
     if schemes is None:
         schemes = enumerate_three_nest_schemes(lambda s: s.all_even)
-    return ExclusionReport(tuple(
-        SchemeResult(s, _settle(s, no_jump_candidates(s) + jump_candidates(s), ablate))
-        for s in schemes
-    ))
+    results = []
+    for s in schemes:
+        options = _typed_options(s)  # shared by both halves of the enumeration
+        candidates = _no_jump_candidates(s, options) + _jump_candidates(s, options)
+        results.append(SchemeResult(s, _settle(s, candidates, ablate)))
+    return ExclusionReport(tuple(results))
 
 
 # ---------------------------------------------------------------------------

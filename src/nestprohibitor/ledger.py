@@ -43,7 +43,7 @@ class OrientationLedger(_checked("OrientationLedger", [a for a, _ in _FIELDS.val
         self = tuple.__new__(cls, (lam, eps, lambda_plus, lambda_minus, pi_plus, pi_minus, zone_pop))
         for (name, (_, kind)), value in zip(_FIELDS.items(), self):
             if kind is list:
-                if type(value) is not tuple or any(type(v) is not int for v in value):
+                if type(value) is not tuple or not {*map(type, value)} <= {int}:
                     raise LedgerError(
                         f"field {name!r} must be a list of integers (a tuple here)"
                     )
@@ -51,7 +51,7 @@ class OrientationLedger(_checked("OrientationLedger", [a for a, _ in _FIELDS.val
                 raise LedgerError(f"field {name!r} must be an integer")
         if len(lam) != 7 or len(zone_pop) != 7 or len(eps) != 6:
             raise LedgerError("lambda and populations have 7 entries, epsilon 6")
-        if any(e not in (1, -1) for e in eps):
+        if not {*eps} <= {1, -1}:
             raise LedgerError("epsilon entries are signs")
         return self
 
@@ -65,7 +65,8 @@ class OrientationLedger(_checked("OrientationLedger", [a for a, _ in _FIELDS.val
 
     def validate(self, total_pairs: int | None = None) -> None:
         """Check the count/parity invariants; raise LedgerError on failure."""
-        for z, (l, p) in enumerate(zip(self.lam, self.zone_pop)):
+        lam, eps, lambda_plus, lambda_minus, pi_plus, pi_minus, zone_pop = self
+        for z, (l, p) in enumerate(zip(lam, zone_pop)):
             if p < 0:
                 raise LedgerError(f"zone {ZONES[z]} population is negative")
             if abs(l) > p:
@@ -74,13 +75,13 @@ class OrientationLedger(_checked("OrientationLedger", [a for a, _ in _FIELDS.val
                 )
             if (l - p) % 2:
                 raise LedgerError(f"zone {ZONES[z]}: lambda/population parity mismatch")
-        if self.lambda_plus + self.lambda_minus != OVALS:
+        if lambda_plus + lambda_minus != OVALS:
             raise LedgerError(f"Lambda+ + Lambda- must equal {OVALS}")
-        if self.lambda_delta != sum(self.lam) + sum(self.eps):
+        if lambda_plus - lambda_minus != sum(lam) + sum(eps):
             raise LedgerError("Lambda+ - Lambda- must equal sum(lambda) + sum(epsilon)")
-        if self.pi_plus < 0 or self.pi_minus < 0:
+        if pi_plus < 0 or pi_minus < 0:
             raise LedgerError("pair counts are non-negative")
-        if total_pairs is not None and self.pi_plus + self.pi_minus != total_pairs:
+        if total_pairs is not None and pi_plus + pi_minus != total_pairs:
             raise LedgerError(
                 f"Pi+ + Pi- must equal the nest-interior total {total_pairs}"
             )
@@ -88,10 +89,10 @@ class OrientationLedger(_checked("OrientationLedger", [a for a, _ in _FIELDS.val
     # -- JSON interchange (field names are fixed for proof traces) ----------
 
     def to_json_dict(self) -> dict:
-        return {
-            name: list(getattr(self, attr)) if kind is list else getattr(self, attr)
-            for name, (attr, kind) in _FIELDS.items()
-        }
+        lam, eps, lambda_plus, lambda_minus, pi_plus, pi_minus, zone_pop = self
+        return {"lambda": list(lam), "epsilon": list(eps), "LambdaPlus": lambda_plus,
+                "LambdaMinus": lambda_minus, "PiPlus": pi_plus, "PiMinus": pi_minus,
+                "zonePop": list(zone_pop)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrientationLedger":
@@ -121,7 +122,8 @@ def rokhlin_mishachev_rhs(m: int = DEGREE) -> int:
 
 def rm_residual(ledger: OrientationLedger, m: int = DEGREE) -> int:
     """2(Pi+ - Pi-) + (Lambda+ - Lambda-) minus the degree-m right-hand side."""
-    return 2 * ledger.pi_delta + ledger.lambda_delta - rokhlin_mishachev_rhs(m)
+    _, _, lambda_plus, lambda_minus, pi_plus, pi_minus, _ = ledger
+    return 2 * (pi_plus - pi_minus) + lambda_plus - lambda_minus - rokhlin_mishachev_rhs(m)
 
 
 def lambda_deficit(ledger: OrientationLedger) -> int:
@@ -138,14 +140,14 @@ def lemma10_residuals(ledger: OrientationLedger) -> tuple[int, int, int, int, in
     deficit with both -Lambda_delta/2 and Pi_delta - 4; its residual is the
     larger absolute violation of the two equalities.
     """
-    l = ledger.lam
-    e = ledger.eps
-    r1 = (l[0] + l[1] - l[4]) + (e[2] + e[5] + e[1] + e[4]) // 2
-    r2 = (l[0] + l[2] - l[5]) + (e[2] + e[5] + e[0] + e[3]) // 2
-    r3 = (l[0] + l[3] - l[6]) + (e[1] + e[4] + e[0] + e[3]) // 2
-    r4 = 3 * l[0] + l[1] + l[2] + l[3] - l[4] - l[5] - l[6] + sum(e)
+    (l0, l1, l2, l3, l4, l5, l6), e, lambda_plus, lambda_minus, pi_plus, pi_minus, _ = ledger
+    e0, e1, e2, e3, e4, e5 = e
+    r1 = (l0 + l1 - l4) + (e2 + e5 + e1 + e4) // 2
+    r2 = (l0 + l2 - l5) + (e2 + e5 + e0 + e3) // 2
+    r3 = (l0 + l3 - l6) + (e1 + e4 + e0 + e3) // 2
+    r4 = 3 * l0 + l1 + l2 + l3 - l4 - l5 - l6 + sum(e)
     deficit = lambda_deficit(ledger)
-    v_half = deficit + ledger.lambda_delta // 2
-    v_pairs = deficit - (ledger.pi_delta - 4)
+    v_half = deficit + (lambda_plus - lambda_minus) // 2
+    v_pairs = deficit - (pi_plus - pi_minus - 4)
     r5 = max(abs(v_half), abs(v_pairs))
     return (r1, r2, r3, r4, r5)

@@ -51,7 +51,7 @@ def nest_terms(scheme: NestScheme) -> OrevkovTerms:
 
 def g_value(scheme: NestScheme) -> int:
     """G = P^2 - P - Pi for the nest; independent of the base oval's sign."""
-    return (1 + scheme.diff) if scheme.nu == PLUS else 0
+    return (1 + scheme.a_plus - scheme.a_minus) if scheme.nu == PLUS else 0
 
 
 def _g_from_definition(scheme: NestScheme, base_sign: int) -> int:
@@ -119,10 +119,10 @@ def f_value(complex_type: ComplexType) -> int:
     """Second-formula constant of a separating nest; type-determined."""
     if not complex_type.separating:
         raise OrevkovError("F is defined for separating nests only")
-    s = complex_type.scheme
-    if complex_type.tag == "s":
+    s, tag = complex_type
+    if tag == "s":
         return _F_TABLE[(s.nu, s.mu, "s")]
-    return _F_TABLE[(s.nu, complex_type.tag)]
+    return _F_TABLE[(s.nu, tag)]
 
 
 def second_formula_residual(

@@ -103,8 +103,8 @@ class Rule(namedtuple("Rule", "rule_id citation hypothesis statement check")):
 
 
 def _judged(rule_id: str, violation: Optional[Evidence]) -> RuleVerdict:
-    """VIOLATED with the predicate's evidence, else SATISFIED."""
-    return RuleVerdict(rule_id, VIOLATED if violation else SATISFIED, violation)
+    """VIOLATED with the predicate's evidence, else the rule's SATISFIED."""
+    return _SATISFIED[rule_id] if violation is None else RuleVerdict(rule_id, VIOLATED, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def _rm_violation(residual: int) -> Optional[Evidence]:
 
 def rule_rm(c: Candidate) -> RuleVerdict:
     if c.ledger is None:
-        return RuleVerdict("rm", INAPPLICABLE)
+        return _INAPPLICABLE["rm"]
     return _judged("rm", _rm_violation(rm_residual(c.ledger)))
 
 
@@ -163,7 +163,7 @@ def _unreachable_violation(zone: int, required: int, reachable) -> Optional[Evid
 
 def rule_lemma10(c: Candidate) -> RuleVerdict:
     if c.ledger is None:
-        return RuleVerdict("lemma10", INAPPLICABLE)
+        return _INAPPLICABLE["lemma10"]
     return _judged("lemma10", _identities_violation(lemma10_residuals(c.ledger)))
 
 
@@ -201,22 +201,19 @@ def _lambda0_violation(
 
 
 def rule_lambda0_bound(c: Candidate) -> RuleVerdict:
-    if c.ledger is None or c.t0_only_exterior is not True:
-        return RuleVerdict("lambda0_bound", INAPPLICABLE)
-    lambda0 = c.ledger.lam[0]
+    curve_type, ledger, t0_only_exterior, _, _, _ = c
+    if ledger is None or t0_only_exterior is not True:
+        return _INAPPLICABLE["lambda0_bound"]
+    lambda0 = ledger.lam[0]
     # The magnitude-3 refinements engage only when the candidate carries
-    # separating/quadrangle information, i.e. a curve type.
-    all_sep = None
-    eps_sum = None
-    emptiable = None
-    if c.curve_type is not None:
-        all_sep = all(ct.separating for ct in c.curve_type.nests)
-        eps_sum = sum(c.ledger.eps)
-        emptiable = tuple(q for q in (1, 2, 3) if c.ledger.zone_pop[q] == 0)
-    return _judged(
-        "lambda0_bound",
-        _lambda0_violation(lambda0, all_sep, eps_sum, emptiable),
-    )
+    # separating/quadrangle information, i.e. a curve type, and
+    # `_lambda0_violation` reads them only at |lambda_0| = 3.
+    all_sep = eps_sum = emptiable = None
+    if curve_type is not None and lambda0 in (3, -3):
+        all_sep = all(ct.separating for ct in curve_type.nests)
+        eps_sum = sum(ledger.eps)
+        emptiable = tuple(q for q in (1, 2, 3) if ledger.zone_pop[q] == 0)
+    return _judged("lambda0_bound", _lambda0_violation(lambda0, all_sep, eps_sum, emptiable))
 
 
 def _triangle_violation(value: int, deficit: int, zone: int) -> Optional[Evidence]:
@@ -233,15 +230,17 @@ def _triangle_violation(value: int, deficit: int, zone: int) -> Optional[Evidenc
 
 def rule_triangle_bound(c: Candidate) -> RuleVerdict:
     """Bound on each corner triangle flagged as holding only exterior ovals."""
-    flagged = [idx for idx in (1, 2, 3) if c.t_only_exterior[idx - 1] is True]
-    if c.ledger is None or not flagged:
-        return RuleVerdict("triangle_bound", INAPPLICABLE)
-    deficit = lambda_deficit(c.ledger)
-    for idx in flagged:
-        violation = _triangle_violation(c.ledger.lam[3 + idx], deficit, idx)
-        if violation:
-            return _judged("triangle_bound", violation)
-    return _judged("triangle_bound", None)
+    _, ledger, _, (f1, f2, f3), _, _ = c
+    if ledger is None or not (f1 is True or f2 is True or f3 is True):
+        return _INAPPLICABLE["triangle_bound"]
+    _, _, _, _, lam4, lam5, lam6 = ledger.lam
+    deficit = lambda_deficit(ledger)
+    for flag, value, idx in ((f1, lam4, 1), (f2, lam5, 2), (f3, lam6, 3)):
+        if flag is True:
+            violation = _triangle_violation(value, deficit, idx)
+            if violation:
+                return _judged("triangle_bound", violation)
+    return _SATISFIED["triangle_bound"]
 
 
 def _exterior_zone_violation(zone: int, e_value: int, population: int) -> Optional[Evidence]:
@@ -253,13 +252,13 @@ def _exterior_zone_violation(zone: int, e_value: int, population: int) -> Option
 
 def rule_exterior_zone(c: Candidate) -> RuleVerdict:
     if c.curve_type is None or c.exterior_triangle_pops is None:
-        return RuleVerdict("exterior_zone", INAPPLICABLE)
+        return _INAPPLICABLE["exterior_zone"]
     e = e_values(*c.curve_type.schemes)
     for z, pop in enumerate(c.exterior_triangle_pops):
         violation = _exterior_zone_violation(z, e[z], pop)
         if violation:
             return _judged("exterior_zone", violation)
-    return _judged("exterior_zone", None)
+    return _SATISFIED["exterior_zone"]
 
 
 def _separating_violation(nest: int, f: int, g_sum: int) -> Optional[Evidence]:
@@ -286,15 +285,15 @@ def _separating_inputs(terms) -> list[tuple[int, int, int]]:
 
 def rule_separating(c: Candidate) -> RuleVerdict:
     if c.curve_type is None:
-        return RuleVerdict("separating", INAPPLICABLE)
+        return _INAPPLICABLE["separating"]
     inputs = _separating_inputs(map(_separating_terms, c.curve_type.nests))
     if not inputs:
-        return RuleVerdict("separating", INAPPLICABLE)
+        return _INAPPLICABLE["separating"]
     for args in inputs:
         violation = _separating_violation(*args)
         if violation:
             return _judged("separating", violation)
-    return _judged("separating", None)
+    return _SATISFIED["separating"]
 
 
 def _empty_triangles_violation(schemes: tuple[NestScheme, ...]) -> Optional[Evidence]:
@@ -315,7 +314,7 @@ def _empty_triangles_violation(schemes: tuple[NestScheme, ...]) -> Optional[Evid
 
 def rule_empty_triangles(c: Candidate) -> RuleVerdict:
     if c.curve_type is None or c.triangles_empty is not True:
-        return RuleVerdict("empty_triangles", INAPPLICABLE)
+        return _INAPPLICABLE["empty_triangles"]
     return _judged("empty_triangles", _empty_triangles_violation(c.curve_type.schemes))
 
 
@@ -363,19 +362,18 @@ def _jump_violation(
 
 
 def rule_jump(c: Candidate) -> RuleVerdict:
-    if c.curve_type is None or c.curve_type.jump is None:
-        return RuleVerdict("jump", INAPPLICABLE)
-    schemes = c.curve_type.schemes
+    curve_type, ledger, _, _, _, _ = c
+    if curve_type is None or curve_type.jump is None:
+        return _INAPPLICABLE["jump"]
+    schemes = curve_type.schemes
     pd = pi_delta(schemes)
     nu3 = schemes[2].nu
-    crossing = c.curve_type.jump.crossing
+    crossing = curve_type.jump.crossing
     violation = _jump_stage_violation(pd, nu3, crossing)
-    open_cases = jump_cases_open(pd, nu3, crossing)
-    if violation is None and c.ledger is not None:
-        lam = c.ledger.lam
-        violation = _jump_violation(
-            pd, open_cases, lambda_deficit(c.ledger), lam[0] - lam[4] - lam[5], lam[6]
-        )
+    if violation is None and ledger is not None:
+        lam0, _, _, _, lam4, lam5, lam6 = ledger.lam
+        violation = _jump_violation(pd, jump_cases_open(pd, nu3, crossing),
+                                    lambda_deficit(ledger), lam0 - lam4 - lam5, lam6)
     return _judged("jump", violation)
 
 
@@ -449,6 +447,10 @@ RULES: dict[str, Rule] = {
 
 RULE_ORDER = tuple(RULES)
 
+# The verdicts without evidence, one constant of each per rule.
+_SATISFIED = {r: RuleVerdict(r, SATISFIED) for r in RULE_ORDER}
+_INAPPLICABLE = {r: RuleVerdict(r, INAPPLICABLE) for r in RULE_ORDER}
+
 
 def check_rule_ids(rule_ids) -> None:
     """Raise KeyError naming every id that is not in the catalog."""
@@ -459,11 +461,8 @@ def check_rule_ids(rule_ids) -> None:
 
 def evaluate_all(candidate: Candidate, ablate: tuple[str, ...] = ()) -> dict[str, RuleVerdict]:
     check_rule_ids(ablate)
-    return {
-        rule_id: RULES[rule_id](candidate)
-        for rule_id in RULE_ORDER
-        if rule_id not in ablate
-    }
+    return {rule_id: check(candidate) for rule_id, _, _, _, check in RULES.values()
+            if rule_id not in ablate}
 
 
 # ---------------------------------------------------------------------------
