@@ -333,7 +333,9 @@ class TestCatalog:
 
 
 # The `highbeta` benchmark schemes of seed 1, nest sizes in canonical order.
-HIGHBETA_SEED1 = [(1, 1, 1), (1, 1, 6), (1, 2, 5), (1, 2, 8), (1, 3, 6), (2, 2, 5), (2, 2, 6), (2, 3, 6)]
+HIGHBETA_SEED1 = [
+    (1, 1, 1), (1, 1, 6), (1, 2, 5), (1, 2, 8), (1, 3, 6), (2, 2, 5), (2, 2, 6), (2, 3, 6)
+]
 
 
 def _with_lam(c, zone, value):
@@ -362,8 +364,11 @@ def _first_violating(witnesses, rule_id, mutate):
 @pytest.fixture(scope="module")
 def pinned_candidates():
     """Every candidate whose ledger the engine confirms while settling the
-    seed-1 `highbeta` schemes, each also with only its curve type and with
-    only its ledger, plus one mutant per rule that violates that rule."""
+    seed-1 `highbeta` schemes; each also with only its curve type, with its
+    curve type and ledger but no flags, and with only its ledger and some
+    flags; one mutant per rule that violates that rule; and witnesses moved
+    to |lambda_0| = 3 or to other corner values, which the refinements and
+    the jump tier read."""
     from nestprohibitor import engine
 
     witnesses = []
@@ -379,6 +384,7 @@ def pinned_candidates():
     assert len(witnesses) == 470
     w0 = witnesses[0]
     l0 = w0.ledger
+    jumped = [c for c in witnesses if c.curve_type.jump]
     mutants = [
         w0._replace(ledger=l0._replace(pi_plus=l0.pi_plus + 1, pi_minus=l0.pi_minus - 1)),
         _with_lam(w0, 1, l0.lam[1] + 2),
@@ -388,23 +394,27 @@ def pinned_candidates():
                          lambda c: c._replace(exterior_triangle_pops=(1, 1, 1, 1))),
         _first_violating(witnesses, "separating", _flip_first_even_tag),
         w0._replace(triangles_empty=True),
-        _first_violating([c for c in witnesses if c.curve_type.jump], "jump",
-                         lambda c: _with_lam(c, 6, c.ledger.lam[6] + 2)),
+        _first_violating(jumped, "jump", lambda c: _with_lam(c, 6, c.ledger.lam[6] + 2)),
     ]
     for rule_id, mutant in zip(RULE_ORDER, mutants):
         assert RULES[rule_id].check(mutant).status == VIOLATED, rule_id
     stripped = [Candidate(curve_type=c.curve_type) for c in witnesses]
+    unflagged = [Candidate(curve_type=c.curve_type, ledger=c.ledger) for c in witnesses]
     bare = [
         Candidate(ledger=c.ledger, t0_only_exterior=True, t_only_exterior=(True, None, False))
         for c in witnesses
     ]
-    return witnesses + stripped + bare + mutants
+    moved = [_with_lam(c, 0, v) for c in (w0, jumped[0]) for v in (3, -3)]
+    moved += [
+        _with_lam(c, z, c.ledger.lam[z] + d) for c in jumped[:2] for z in (4, 5) for d in (-2, 2)
+    ]
+    return witnesses + stripped + unflagged + bare + mutants + moved
 
 
 class TestEvaluateAllPinned:
     # The verdicts of the whole catalog, pinned by hash, under no ablation
     # and under every single one.
-    PINNED = (90752, "2a88f50272161c72b44a9577a36a4b031b55c78b32a1a89ce250abed2b32aa43")
+    PINNED = (121600, "047abbf193ce3f4fcb5ed0f1d616150c614de39fccfd13f01256dd6fe46d2b82")
 
     def test_verdicts_are_pinned(self, pinned_candidates):
         rows = []
