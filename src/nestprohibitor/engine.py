@@ -12,45 +12,18 @@ rule with numeric evidence, and the whole record replays
 deterministically.
 
 Each value is computed once at the level where it varies, and no shortcut
-changes a trace.  The enumerator groups each nest size's complex types by
-their separating-filter terms once per scheme, and tests the fit once per
-triple of groups; a jumped nest enters only through its G, so once per
-pair of companion groups and distinct G.  Each candidate is built by
-`CurveType`'s one checked constructor.  One function settles a list of
-one scheme's candidates: `prove_theorem1` passes all of them, `eliminate`
-passes one.  It checks the scheme and the ablated rule ids once, and
-settles every candidate against one table object (`_SchemeTables`) of
-what depends on the scheme and the ablation alone: per nest-scheme triple
-the nest sizes, allowed zones and Pi_delta; the chain branches, as plain
-rows; the closures; each rule's memo; the net screens; the eliminated
-branches.  An ablated rule gets no closure key, so every memo is built as
-for no ablation; only the rules that change the search space
-(exterior_zone's zones, lemma10's identities and budget, the ledger's
-`evaluate_all`) read the ablated ids.  The stage screen (jump trichotomy,
-then separating formula) runs first, from the scheme's memos: the jump
-stage closures per (Pi_delta, nu3, crossing), and each nest type's
-(separating, F, G) with one closure key per (nest, F, G_j + G_k).  Only a
-candidate it leaves open is searched, by one function (`_search`) that
-computes what varies per candidate, then loops over the chain branches of
-nests 1, 2 and 3 in three nested loops, each value bound at the loop of
-the nests it reads.  The checks that read only a net and the branch's
-screen key (free zones, Pi_delta, deficit, chain shares of lambda_0 and
-lambda_4..lambda_6, jump tier, empty-triangle closure) run once per key,
-in a net screen: empty triangles, the jump tier, lambda_0 off
-|lambda_0| = 3, the corners.  The screen builds the key's exterior nets,
-each once as its triangle values and oval count, only as far as some
-branch reads it, and every branch of the key replays it as runs of
-(closure key, count), split at each net it leaves open.  The branch
-checks the open nets itself: the |lambda_0| = 3 refinement, the oval
-budget, then a ledger, built only for a net within budget (or any net
-with lemma10 ablated).  Each predicate goes through a memo keyed by its
-inputs, so it runs once per distinct input in the scheme; the lambda_0
-bound's is keyed by lambda_0 alone, which `_lambda0_violation` reads
-alone unless |lambda_0| = 3, and only the branch reads the rest.  An
-eliminated branch that built no ledger keeps its closures under the
-screen key, with what its open nets read if there were any; a later
-branch of that key reuses them.  Closures merge by evidence, not by
-predicate inputs, and are listed in the order of their first net.
+changes a trace.  The enumerator is `no_jump_candidates` and
+`jump_candidates`.  `_settle` settles a list of one scheme's candidates,
+all of them for `prove_theorem1` and one for `eliminate`, against one
+`_SchemeTables` of what depends on the scheme and the ablation alone.
+`_stage_closures` screens each candidate, `_search` walks the chain
+branches of one it leaves open, `_screen` checks a screen key's nets, in
+`_free_assignments` order, and `_feasible_ledger` builds and confirms a
+ledger; each docstring describes its own step.  An ablated rule gets no
+closure key (`_closure_key`), so every memo is built as for no ablation;
+only the rules that change the search space (exterior_zone's zones,
+lemma10's identities and budget, the ledger's `evaluate_all`) read the
+ablated ids.
 
 Interior-chain model (the engine's central commitment, validated against
 the reproduced intermediate values): a separating even nest either
@@ -738,8 +711,6 @@ def _feasible_ledger(
     zone_pop = (t0, q1 - abs(y2) - abs(y3), q2, h1 + h2 + abs(y3), t1, t2, t3)
     lam4, lam5, lam6 = lam456
     lambda_delta = lam0 + lam1 + lam2 + lam3 + lam4 + lam5 + lam6 + ne1 + ne2 + ne3
-    if (OVALS + lambda_delta) % 2:
-        raise EngineError("parity failure in the ledger build")
     pairs = tables.pairs
     ledger = OrientationLedger(
         (lam0, lam1, lam2, lam3, lam4, lam5, lam6),
@@ -926,7 +897,13 @@ def prove_proposition2(ablate: tuple[str, ...] = ()) -> Prop2Report:
     the separating-formula residual -1 closes it.
     """
     check_rule_ids(ablate)
-    ablated = set(ablate)
+    evidence = {}  # closure key -> evidence
+
+    def closure(rule_id, violation):
+        # None for no violation or an ablated rule, as in the search
+        key = _closure_key(evidence, ablate, rule_id, violation)
+        return key and Closure(rule_id, evidence[key])
+
     rows = []
     for triple in FIG21_TRIPLES:
         e = e_values(*triple)
@@ -938,44 +915,31 @@ def prove_proposition2(ablate: tuple[str, ...] = ()) -> Prop2Report:
             if key == FIG21_DISCREPANT_ROW
             else ""
         )
-        closures: list[Closure] = []
-        closed = True
         if e0 != 0:
             # Chain shares move lambda_0 by at most 1 per even nest, so
             # exterior ovals must populate T0, against the residual.
             max_share = sum(1 for s in triple if s.alpha % 2 == 0)
-            violation = _exterior_zone_violation(0, e0, abs(lam0) - max_share)
-            if violation and "exterior_zone" not in ablated:
-                closures.append(Closure("exterior_zone", violation))
-            else:
-                closed = False
+            found = [closure(
+                "exterior_zone", _exterior_zone_violation(0, e0, abs(lam0) - max_share))]
         else:
-            sign = 1 if lam0 > 0 else -1
+            target = 1 if lam0 > 0 else -1  # identity q with lambda_0 = +-3 and empty Q_q
+            found = []
             for q in (1, 2, 3):
                 if e[q] == 0:
-                    closed = False  # corner would admit exterior ovals
+                    found.append(None)  # corner would admit exterior ovals
                     continue
-                target = sign  # identity q with lambda_0 = +-3 and empty Q_q
                 nest = triple[q - 1]
                 if nest.alpha % 2:
                     # an odd nest contributes nothing to its corner
-                    violation = _unreachable_violation(q, target, (0,))
-                    if violation and "lemma10" not in ablated:
-                        closures.append(Closure("lemma10", violation))
-                    else:
-                        closed = False
+                    found.append(closure("lemma10", _unreachable_violation(q, target, (0,))))
                     continue
                 # Only the straddle-even branch of tag sign -target reaches
                 # the corner value; its base sign matches the refinement.
                 tag = "u" if target > 0 else "d"
                 ct = ComplexType(nest, tag)
                 j, k = (x for x in range(3) if x != q - 1)
-                violation = _separating_violation(
-                    q, f_value(ct), g_value(triple[j]) + g_value(triple[k])
-                )
-                if violation and "separating" not in ablated:
-                    closures.append(Closure("separating", violation))
-                else:
-                    closed = False
-        rows.append(Prop2Row(tuple(triple), e0, closed, tuple(closures), note))
+                found.append(closure("separating", _separating_violation(
+                    q, f_value(ct), g_value(triple[j]) + g_value(triple[k]))))
+        closures = tuple(c for c in found if c)
+        rows.append(Prop2Row(tuple(triple), e0, all(found), closures, note))
     return Prop2Report(tuple(rows))

@@ -177,14 +177,13 @@ def _lambda0_violation(
     if abs(lambda0) > 3:
         return Evidence({"lambda0": lambda0, "tier": "lemma16"})
     if abs(lambda0) == 3:
-        sign = 1 if lambda0 > 0 else -1
         if all_separating is False:
             return Evidence({
                 "lambda0": lambda0,
                 "tier": "lemma16-refinement",
                 "reason": "non-separating nest",
             })
-        if epsilon_sum is not None and epsilon_sum != -6 * sign:
+        if epsilon_sum is not None and epsilon_sum != -2 * lambda0:
             return Evidence({
                 "lambda0": lambda0,
                 "tier": "lemma16-refinement",

@@ -206,7 +206,8 @@ def parse_real_scheme(text: str, strict: bool = True) -> RealScheme:
     """Parse bracket notation such as "<J + 1<2> + 1<2> + 1<20> + 1>".
 
     Nests are kept in written order.  With strict=True (the default) the
-    25-oval total is enforced; strict=False skips only that check.
+    value goes through `RealScheme`'s constructor, which checks the 25-oval
+    total; strict=False skips only that check.
     """
     items = _Parser(text).parse()
     alphas: list[int] = []
@@ -218,11 +219,6 @@ def parse_real_scheme(text: str, strict: bool = True) -> RealScheme:
             alphas.append(sum(item))
     if len(alphas) != 3:
         raise SchemeArityError(f"expected exactly three nests, found {len(alphas)}")
-    total = sum(alphas) + beta
-    if strict and total != EMPTY_OVALS:
-        raise SchemeInvariantError(
-            f"empty ovals must total {EMPTY_OVALS}, got {total}"
-        )
     if strict:
         return RealScheme((alphas[0], alphas[1], alphas[2]), beta)
     # The one value built without its constructor's checks: the total is

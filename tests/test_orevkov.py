@@ -92,16 +92,38 @@ class TestFValues:
             f_value(ComplexType(ns(MINUS, 1, 1), "n"))
 
     def test_from_definition_matches_table(self):
-        # the frozen table agrees with the defining pair counts across
-        # chain layouts and choices of the auxiliary interior base
+        # the defining pair counts give the published value on every chain
+        # layout: even nests of 4, 6 and 8 ovals with each even straddle,
+        # odd nests of 3, 5 and 7, and each choice of the auxiliary
+        # interior base a4
         for ct, expected in F_ROWS:
-            alpha = 6 if ct.tag != "s" else 5
-            a_plus = alpha // 2 if ct.tag != "s" else (alpha + ct.scheme.mu) // 2
-            big = ComplexType(ns(ct.scheme.nu, a_plus, alpha - a_plus), ct.tag)
-            straddles = (2, 4) if ct.tag != "s" else (0,)
-            for straddle in straddles:
-                for a4 in range(straddle + 1, alpha):
-                    assert _f_from_definition(big, alpha, straddle, a4) == expected
+            for alpha in (3, 5, 7) if ct.tag == "s" else (4, 6, 8):
+                a_plus = (alpha + ct.scheme.mu) // 2
+                big = ComplexType(ns(ct.scheme.nu, a_plus, alpha - a_plus), ct.tag)
+                straddles = (0,) if ct.tag == "s" else range(2, alpha - 1, 2)
+                for straddle in straddles:
+                    for a4 in range(straddle + 1, alpha):
+                        got = _f_from_definition(big, alpha, straddle, a4)
+                        assert got == expected, (big, straddle, a4)
+
+
+def g_from_pair_counts(scheme, base_sign):
+    """G = P^2 - P - Pi from the pair counts, with an explicit base sign."""
+    p = int(base_sign == PLUS) + int(scheme.nu == PLUS)
+    pi_l = 0
+    if scheme.nu == PLUS:
+        small_plus = scheme.a_plus - int(base_sign == PLUS)
+        small_minus = scheme.a_minus - int(base_sign == MINUS)
+        pi_l = small_minus - small_plus
+    return p * p - p - pi_l
+
+
+class TestGValues:
+    def test_independent_of_the_base_sign(self):
+        for alpha in range(1, 9):
+            for scheme in enumerate_nest_schemes(alpha, jump_allowed=True):
+                for base in scheme.available_base_signs():
+                    assert g_from_pair_counts(scheme, base) == g_value(scheme), (scheme, base)
 
 
 E_ROWS = [

@@ -129,6 +129,15 @@ class TestLambda0Bound:
         assert v.status == VIOLATED
         assert v.evidence["reason"] == "epsilon sum"
 
+    @pytest.mark.parametrize("lambda0", [3, -3])
+    def test_refinement_epsilon_sum_follows_lambda0(self, lambda0):
+        # every nest separating and one quadrangle empty: only the epsilon
+        # sum -2 lambda_0 passes
+        assert _lambda0_violation(lambda0, True, -2 * lambda0, (1,)) is None
+        for eps_sum in (0, 2 * lambda0):
+            v = _lambda0_violation(lambda0, True, eps_sum, (1,))
+            assert v["reason"] == "epsilon sum" and v["epsilon_sum"] == eps_sum
+
 
 class TestTriangleBound:
     def test_four_violates(self):
@@ -577,6 +586,22 @@ FORGERIES = [
     pytest.param("jump", _moved(_JUMP_SHUT, open_cases=[2, 3]), id="jump-cases-2-3"),
     pytest.param("jump", _moved(_JUMP_SHUT, open_cases=[3, 2]), id="jump-cases-3-2"),
     pytest.param("jump", _moved(_JUMP_SHUT, open_cases=[2, 2]), id="jump-cases-2-2"),
+    # the first value outside each domain
+    pytest.param("triangle_bound", {"zone": "T4", "lambda": 5}, id="triangle-zone-T4"),
+    pytest.param("lemma10", _moved(_UNREACHABLE, zone="T0"), id="lemma10-unreachable-T0"),
+    pytest.param("lemma10", _moved(_UNREACHABLE, zone="T4"), id="lemma10-unreachable-T4"),
+    pytest.param("exterior_zone", _moved(_EXTERIOR, zone="T-1"), id="exterior-zone-T-1"),
+    pytest.param("exterior_zone", _moved(_EXTERIOR, zone="T4"), id="exterior-zone-T4"),
+    pytest.param("separating", _moved(_SEPARATING, nest=0), id="separating-nest-0"),
+    pytest.param("separating", _moved(_SEPARATING, nest=4), id="separating-nest-4"),
+    pytest.param("lemma10", _moved(_BUDGET, budget=-1), id="lemma10-budget-minus-1"),
+    pytest.param(
+        "lemma10", _moved(_BUDGET, budget=23, required_budget=24), id="lemma10-budget-23"
+    ),
+    pytest.param("jump", _moved(_JUMP_STAGE, pi_delta=-5), id="jump-stage-pi-delta-minus-5"),
+    pytest.param("jump", _moved(_JUMP_STAGE, pi_delta=5), id="jump-stage-pi-delta-5"),
+    pytest.param("jump", _moved(_JUMP_OPEN, pi_delta=-5), id="jump-pi-delta-minus-5"),
+    pytest.param("jump", _moved(_JUMP_OPEN, pi_delta=5), id="jump-pi-delta-5"),
 ]
 
 
@@ -590,6 +615,14 @@ class TestReplay:
             ("separating", {"nest": 1, "f": -1, "g_sum": 0, "residual": -1}),
             ("empty_triangles", {"schemes": ["-", "-", "-"]}),
             ("jump", _JUMP_STAGE),
+            # the last value inside each domain that a violation reaches
+            ("triangle_bound", {"zone": "T1", "lambda": 4}),
+            ("lemma10", _moved(_UNREACHABLE, zone="T1")),
+            ("exterior_zone", _moved(_EXTERIOR, zone="T3")),
+            ("separating", _moved(_SEPARATING, nest=3)),
+            ("lemma10", _moved(_BUDGET, budget=22, required_budget=23)),
+            ("jump", _moved(_JUMP_STAGE, pi_delta=-4)),
+            ("jump", {"pi_delta": 4, "open_cases": [1], "deficit": -1, "lambda045": 0, "lambda6": 1}),
         ]
         for rule_id, evidence in samples:
             assert replay_violation(rule_id, evidence)

@@ -78,7 +78,8 @@ class TestParse:
         assert err.value.position == position
 
     def test_bad_total_strict(self):
-        with pytest.raises(SchemeInvariantError):
+        # the constructor's check, the one check of the total
+        with pytest.raises(SchemeInvariantError, match="must be 25, got 4"):
             parse_real_scheme("<J + 1<1> + 1<1> + 1<1> + 1>")
 
     def test_bad_total_relaxed(self):
