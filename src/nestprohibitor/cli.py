@@ -47,7 +47,7 @@ def _cmd_check(args) -> int:
         try:
             with open(args.ledger, "r", encoding="utf-8") as fh:
                 ledger = OrientationLedger.from_json_dict(json.load(fh))
-            ledger.validate()
+            ledger.validate(sum(scheme.alpha))
         except KeyError as err:
             print(f"error: ledger {args.ledger}: missing field {err}", file=sys.stderr)
             return EXIT_USAGE

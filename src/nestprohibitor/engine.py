@@ -18,12 +18,12 @@ all of them for `prove_theorem1` and one for `eliminate`, against one
 `_SchemeTables` of what depends on the scheme and the ablation alone.
 `_stage_closures` screens each candidate, `_search` walks the chain
 branches of one it leaves open, `_screen` checks a screen key's nets, in
-`_free_assignments` order, and `_feasible_ledger` builds and confirms a
-ledger; each docstring describes its own step.  An ablated rule gets no
+`_free_assignments` order, and `_feasible_ledger` builds and confirms the
+witness; each docstring describes its own step.  An ablated rule gets no
 closure key (`_closure_key`), so every memo is built as for no ablation;
 only the rules that change the search space (exterior_zone's zones,
-lemma10's identities and budget, the ledger's `evaluate_all`) read the
-ablated ids.
+lemma10's identities, which pin the quadrangle values) read the ablated
+ids.
 
 Interior-chain model (the engine's central commitment, validated against
 the reproduced intermediate values): a separating even nest either
@@ -55,6 +55,7 @@ from .rules import (
     _jump_stage_violation,
     _jump_violation,
     _lambda0_violation,
+    _rm_violation,
     _separating_inputs,
     _separating_terms,
     _separating_violation,
@@ -436,7 +437,7 @@ class _SchemeTables:
         self.ablate = ablate
         beta = self.beta = scheme.beta
         self.pairs = total_pairs(scheme)
-        identities = self.identities = "lemma10" not in ablate
+        self.identities = "lemma10" not in ablate
         alphas = sorted(scheme.alpha)
         all_zones = "exterior_zone" in ablate
 
@@ -459,10 +460,10 @@ class _SchemeTables:
         # (lambda_0, all separating, epsilon sum, Q1..Q3 left empty) at
         # magnitude 3
         self.lambda0_refined = _Memo(lambda a: key_of("lambda0_bound", _lambda0_violation(
-            a[0], a[1], a[2],
-            tuple(q for q, empty in zip((1, 2, 3), a[3:]) if empty) if identities else None)))
+            a[0], a[1], a[2], tuple(q for q, empty in zip((1, 2, 3), a[3:]) if empty))))
         self.corner_of = _Memo(lambda a: key_of("triangle_bound", _triangle_violation(*a)))
         self.over_budget = _Memo(lambda a: key_of("lemma10", _budget_violation(a[0], beta, a[1:])))
+        self.rm_of = _Memo(lambda r: key_of("rm", _rm_violation(r)))
         self.screens: dict[tuple, Iterator[tuple]] = {}
         self.eliminated: dict[tuple, tuple[tuple[Closure, ...], int]] = {}
 
@@ -547,14 +548,13 @@ def _search(
     the rest in the third; inside it, one loop over the branch's exterior
     nets, in `_free_assignments` order.  The first rule that fires closes
     a net, in the order empty triangles, jump, lambda_0, the corners
-    T1..T3, then the oval budget of lemma10; a net none closes goes on to a
-    ledger build, and the first ledger every rule accepts is the witness
-    and ends the search.  A branch replays the `_screen` of its key, built
-    once per key, and checks only the nets it leaves open, unless an
-    eliminated branch that built no ledger recorded its closures and count
-    under its key: the screen key when the screen left no net open, else
-    that and what the open nets read (the problem key, built only when the
-    screen key misses).
+    T1..T3, then the oval budget of lemma10, or rm with lemma10 ablated;
+    the first net none closes gives the witness and ends the search.  A branch
+    replays the `_screen` of its key, built once per key, and checks only
+    the nets it leaves open, unless an eliminated branch recorded its
+    closures and count under its key: the screen key when the screen left
+    no net open, else that and what the open nets read (the problem key,
+    built only when the screen key misses).
     Closures merge by evidence, not by the predicate inputs that produced
     it: with `lemma10` ablated, nets of different deficits with lambda_4 = 5
     share one corner evidence, which records no deficit, and count as one
@@ -615,7 +615,6 @@ def _search(
                 if hit:
                     records.append(BranchRecord(labels, *hit))
                     continue
-                q1, q2, q3 = w1 == 0, w2 == 0, w3 == 0
 
                 memo_key = screen_key  # what the branch's closures read so far
                 tally: dict[tuple, int] = {}  # closure key -> nets closed, first net first
@@ -628,18 +627,6 @@ def _search(
                     lam0, lam4, lam5, lam6 = x0 + sh0, x1 + t4, x2 + t5, x3 + t6
                     memo_key = memo_key and problem_key  # an open net reads the branch
 
-                    # At magnitude 3 the central-triangle bound's refinements
-                    # read the branch and which quadrangles the identities
-                    # leave empty; else the screen's corner closure applies.
-                    if lam0 in (3, -3):
-                        key = tables.lambda0_refined[
-                            lam0, all_sep, eps_sum, q1 and rhs1 - lam0 + lam4 == 0,
-                            q2 and rhs2 - lam0 + lam5 == 0, q3 and rhs3 - lam0 + lam6 == 0
-                        ] or key
-                    if key:
-                        tally[key] = tally.get(key, 0) + 1
-                        continue
-
                     # The quadrangle values the identities pin, and the oval
                     # budget they need.  The cost always has the parity of
                     # beta: mod 2 it is the sum of the branch shares, alpha_i
@@ -647,19 +634,38 @@ def _search(
                     # _settle).  So the budget test is the bound alone.
                     p1, p2, p3 = rhs1 - lam0 + lam4, rhs2 - lam0 + lam5, rhs3 - lam0 + lam6
                     required = ovals + abs(p1 - w1) + abs(p2 - w2) + abs(p3 - w3)
-                    if required > beta and identities:
+
+                    # At magnitude 3 the central-triangle bound's refinements
+                    # read the branch and which quadrangles the witness leaves
+                    # empty; else the screen's corner closure applies.
+                    if lam0 in (3, -3):
+                        if identities:
+                            empty = (w1 == p1 == 0, w2 == p2 == 0, w3 == p3 == 0)
+                        else:
+                            memo_key = None  # the problem key does not record the parking
+                            parks1, parks2, parks3 = _chain_parking(schemes, (b1, b2, b3))
+                            empty = (parks1 == 0 and ovals == beta, parks2 == 0, parks3 == 0)
+                        key = tables.lambda0_refined[lam0, all_sep, eps_sum, *empty] or key
+
+                    # Without the identities Q1 takes the sum rm needs, which
+                    # has the parity of beta - ovals alike, or the nearest.
+                    if not identities:
+                        need = 8 - 2 * pd - eps_sum - lam0 - lam4 - lam5 - lam6 - w1 - w2 - w3
+                        reach = _quadrangle_sum(need, beta - ovals)
+                        p1, p2, p3 = w1 + reach, w2, w3
+                        key = key or tables.rm_of[reach - need]
+                    elif not key and required > beta:
                         key = tables.over_budget[required, lam0, p1, p2, p3, lam4, lam5, lam6]
+                    if key:
                         tally[key] = tally.get(key, 0) + 1
                         continue
 
-                    memo_key = None  # a ledger reads all of the branch
                     witness = _feasible_ledger(
                         curve_type, tables, pd, (b1, b2, b3), net, (w1, w2, w3),
-                        lam0, (lam4, lam5, lam6), (p1, p2, p3) if required <= beta else None, tally,
+                        (lam0, p1, p2, p3, lam4, lam5, lam6),
                     )
-                    if witness is not None:
-                        closures = tuple(map(closure_of, tally.items()))
-                        return (BranchRecord(labels, closures, checked),), witness
+                    closures = tuple(map(closure_of, tally.items()))
+                    return (BranchRecord(labels, closures, checked),), witness
                 if not checked:
                     # only possible with no free zone at all: the deficit
                     # identity fails on the forced values
@@ -674,47 +680,39 @@ def _search(
     return tuple(records), None
 
 
-def _feasible_ledger(
-    curve_type, tables, pd, branches, net, quad_net, lam0, lam456, pinned, tally
-) -> Optional[OrientationLedger]:
-    """The ledger of a branch's exterior net record `net` that the bounds
-    leave open, or None when a rule closes it, counted in `tally`.
-    `quad_net` is the branch's chain nets into Q1..Q3, and `pinned` the
-    identities' quadrangle values, or None when they need more ovals than
-    beta (only with lemma10 ablated).  Every entry is computed in closed
-    form from the three branch rows, the nest schemes and the net."""
-    beta = tables.beta
-    (_, _, _, ne1, _, hi1, in01, in1), (_, _, _, ne2, _, hi2, in02, in2), (
-        _, _, _, ne3, _, hi3, in03, in3) = branches
-    (nu1, p1, m1), (nu2, p2, m2), (nu3, p3, m3) = curve_type.schemes
-    x0, x1, x2, x3, ovals = net
-    w1, w2, w3 = quad_net
-    if pinned is not None:
-        # the identities' solution, the preferred witness shape even
-        # when they are ablated (keeps ablation monotone)
-        lam1, lam2, lam3 = pinned
-        y2, y3 = lam2 - w2, lam3 - w3
-    else:
-        # flat fallback: zero quadrangle nets, odd leftover absorbed in Q1;
-        # with no deficit identity every net keeps within beta
-        lam1, lam2, lam3 = w1 + (beta - ovals) % 2, w2, w3
-        y2 = y3 = 0
-    # A chain's interior ovals, less its base oval and those parked in the
-    # triangles, lie in the two quadrangles beside its nest: |high net| in
-    # the high one (Q3, Q3, Q2 for nests 1..3), the rest in the low one
-    # (Q2, Q1, Q1).  Q1 also holds the exterior ovals that the net and the
-    # quadrangle nets leave.
+def _quadrangle_sum(need: int, spare: int) -> int:
+    """The sum nearest `need` (of the parity of `spare`) that `spare` ovals of
+    +-1 reach."""
+    return max(-spare, min(spare, need))
+
+
+def _chain_parking(schemes, branches) -> tuple[int, int, int]:
+    """The interior ovals that the chains of three `nest_branches` rows park
+    in Q1..Q3: less the base oval and those in triangles, |high net| in the
+    high one (Q3, Q3, Q2 for nests 1..3), the rest in the low (Q2, Q1, Q1)."""
+    a1, a2, a3 = (s.alpha for s in schemes)
+    (*_, hi1, in01, in1), (*_, hi2, in02, in2), (*_, hi3, in03, in3) = branches
     h1, h2, h3 = abs(hi1), abs(hi2), abs(hi3)
+    return a2 + a3 - 2 - in02 - in2 - in03 - in3 - h2 - h3, a1 - 1 - in01 - in1 - h1 + h3, h1 + h2
+
+
+def _feasible_ledger(curve_type, tables, pd, branches, net, quad_net, lam) -> OrientationLedger:
+    """The witness of a net record `net` the search leaves open, in closed
+    form: `lam` its lambdas, `quad_net` the chain nets into Q1..Q3, and Q1
+    holds the exterior ovals left over.  The search decides every rule, so
+    a rule that rejects the ledger raises EngineError."""
+    (_, _, _, ne1, _, _, in01, in1), (_, _, _, ne2, _, _, in02, in2), (
+        _, _, _, ne3, _, _, in03, in3) = branches
+    (nu1, _, _), (nu2, _, _), (nu3, _, _) = curve_type.schemes
+    x0, x1, x2, x3, ovals = net
+    y2, y3 = abs(lam[2] - quad_net[1]), abs(lam[3] - quad_net[2])
+    parks1, parks2, parks3 = _chain_parking(curve_type.schemes, branches)
     t0, t1, t2, t3 = abs(x0) + in01 + in02 + in03, abs(x1) + in1, abs(x2) + in2, abs(x3) + in3
-    q1 = (p2 + m2 - 1 - in02 - in2 - h2) + (p3 + m3 - 1 - in03 - in3 - h3) + beta - ovals
-    q2 = p1 + m1 - 1 - in01 - in1 - h1 + h3 + abs(y2)
-    zone_pop = (t0, q1 - abs(y2) - abs(y3), q2, h1 + h2 + abs(y3), t1, t2, t3)
-    lam4, lam5, lam6 = lam456
-    lambda_delta = lam0 + lam1 + lam2 + lam3 + lam4 + lam5 + lam6 + ne1 + ne2 + ne3
+    zone_pop = (t0, parks1 + tables.beta - ovals - y2 - y3, parks2 + y2, parks3 + y3, t1, t2, t3)
+    lambda_delta = sum(lam) + ne1 + ne2 + ne3
     pairs = tables.pairs
     ledger = OrientationLedger(
-        (lam0, lam1, lam2, lam3, lam4, lam5, lam6),
-        (nu1, nu2, nu3, ne1 - nu1, ne2 - nu2, ne3 - nu3),
+        lam, (nu1, nu2, nu3, ne1 - nu1, ne2 - nu2, ne3 - nu3),
         (OVALS + lambda_delta) // 2, (OVALS - lambda_delta) // 2,
         (pairs + pd) // 2, (pairs - pd) // 2, zone_pop,
     )
@@ -725,9 +723,7 @@ def _feasible_ledger(
     )
     for rule_id, verdict in evaluate_all(candidate, tables.ablate).items():
         if verdict.status == VIOLATED:
-            key = tables.key_of(rule_id, verdict.evidence)
-            tally[key] = tally.get(key, 0) + 1
-            return None
+            raise EngineError(f"{rule_id} rejects the search's witness: {verdict.evidence}")
     return ledger
 
 

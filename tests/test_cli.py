@@ -32,14 +32,15 @@ def make_validator(name):
     return jsonschema.Draft7Validator(load_schema(name), registry=registry)
 
 
-# A valid ledger that satisfies every rule.
+# A valid ledger of the checked scheme, whose 24 interior ovals make 24
+# pairs, that satisfies every rule.
 LEDGER = {
     "lambda": [0, 0, 0, 0, 0, 0, 0],
     "epsilon": [1, 1, 1, -1, -1, -1],
     "LambdaPlus": 14,
     "LambdaMinus": 14,
-    "PiPlus": 8,
-    "PiMinus": 4,
+    "PiPlus": 14,
+    "PiMinus": 10,
     "zonePop": [0, 0, 0, 0, 0, 0, 0],
 }
 
@@ -105,10 +106,14 @@ class TestCheck:
                 json.dumps({**LEDGER, "LambdaPlus": [14]}),
                 "field 'LambdaPlus' must be an integer",
             ),
+            (
+                json.dumps({**LEDGER, "PiPlus": 8, "PiMinus": 4}),
+                "must equal the nest-interior total 24",
+            ),
         ],
         ids=[
             "missing-field", "malformed-json", "invalid-ledger", "float-lambda",
-            "bool-epsilon", "extra-key", "int-lambda", "list-LambdaPlus",
+            "bool-epsilon", "extra-key", "int-lambda", "list-LambdaPlus", "pair-total",
         ],
     )
     def test_bad_ledger_exit_2(self, tmp_path, capsys, content, message):

@@ -20,7 +20,7 @@ from nestprohibitor.engine import (
     prove_theorem1,
     _free_assignments,
 )
-from nestprohibitor.ledger import lambda_deficit
+from nestprohibitor.ledger import lambda_deficit, rm_residual
 from nestprohibitor.orevkov import allowed_zones, e_values, f_value, g_value
 from nestprohibitor.rules import (
     RULES,
@@ -28,6 +28,7 @@ from nestprohibitor.rules import (
     VIOLATED,
     Candidate,
     Evidence,
+    RuleVerdict,
     replay_violation,
     rule_jump,
     rule_separating,
@@ -417,6 +418,16 @@ class TestSatisfiability:
         with pytest.raises(EngineError, match="the scheme does not have 25 empty ovals"):
             prove_theorem1(schemes=[scheme])
 
+    def test_a_rule_that_rejects_a_witness_is_an_engine_error(self, monkeypatch):
+        # The search decides every rule and the ledger only confirms the
+        # witness, so a rule that rejects it is a fault, not a closure.
+        scheme = RealScheme((1, 1, 22), 1)
+        candidate, _ = first_witness(scheme, 4)
+        rejected = RuleVerdict("rm", VIOLATED, Evidence({"residual": 2}))
+        monkeypatch.setitem(RULES, "rm", RULES["rm"]._replace(check=lambda c: rejected))
+        with pytest.raises(EngineError, match="rm rejects the search's witness"):
+            eliminate(candidate, scheme)
+
     def test_candidate_of_another_scheme_is_refused(self):
         with pytest.raises(EngineError, match="candidate nests do not match the scheme"):
             eliminate(
@@ -648,6 +659,43 @@ class TestAblation:
         trace.witness.validate(total_pairs=6)
         assert trace.witness.lam[0] == -4
 
+    @pytest.mark.parametrize("spare", range(7))
+    def test_rm_closed_form_matches_every_placement(self, spare):
+        # With lemma10 ablated the spare exterior ovals lie in Q1..Q3: c_q of
+        # them in Q_q, sum c_q = spare, with a net y_q, |y_q| <= c_q and y_q =
+        # c_q mod 2.  rm needs the nets to sum to `need`: the search leaves
+        # the net open exactly when a placement reaches it, and else records
+        # the least residual any placement leaves.
+        sums = {
+            sum(nets)
+            for counts in itertools.product(range(spare + 1), repeat=3)
+            if sum(counts) == spare
+            for nets in itertools.product(*(range(-c, c + 1, 2) for c in counts))
+        }
+        for need in range(-8, 9):
+            reach = engine._quadrangle_sum(need, spare)
+            if (need - spare) % 2:
+                # no search meets such a need (the parity comment in
+                # `_search`), and no placement reaches it either
+                assert need not in sums
+                continue
+            assert (need in sums) == (reach == need)
+            assert reach in sums and abs(reach - need) == min(abs(s - need) for s in sums)
+
+    def test_lemma10_ablated_theorem1_searches_the_quadrangle_values(self):
+        # Without the identities the quadrangle values are free: rm closes a
+        # net only when the spare ovals cannot reach the sum it needs, by an
+        # even residual, and 16 schemes, all with beta >= 9, stay open.
+        report = prove_theorem1(ablate=("lemma10",))
+        still_open = [r.scheme for r in report.results if not r.excluded]
+        assert len(still_open) == 16 and min(s.beta for s in still_open) == 9
+        residuals = {c.evidence["residual"] for c in _closures(report) if c.rule_id == "rm"}
+        assert residuals and all(r and r % 2 == 0 for r in residuals)
+        for result in report.results:
+            for trace in result.surviving:
+                trace.witness.validate(total_pairs=sum(result.scheme.alpha))
+                assert rm_residual(trace.witness) == 0
+
     @pytest.mark.parametrize("rule_id", list(RULES))
     def test_monotone_in_every_single_rule(self, rule_id):
         # dropping one rule never converts a surviving candidate to eliminated
@@ -666,8 +714,8 @@ THEOREM1_TRACE_SHA256 = "9521f039953ad3eb69d61f0e24b9c88a1414f51b21ffcc5f0ea74a4
 # One scheme's traces: (scheme, ablated rules, traces, nets checked, SHA-256
 # of json.dumps of the traces).  The first checks the most nets of the
 # lowbeta benchmark, the second is its beta = 22 scheme, where witnesses
-# stop early; in the third, with the deficit identity ablated, closures whose
-# predicate inputs differ (the deficit) carry the same evidence and merge.
+# stop early; in the third, with the identities ablated, rm decides each net
+# on the free quadrangle values, and 69 of the candidates survive.
 # The next two ablate a rule of the stage screen, so candidates it would
 # close reach the branch search instead.  The last ablates the exterior-zone
 # rule, so every candidate's nets range over all four triangles.
@@ -683,8 +731,8 @@ SCHEME_TRACES = [
         id="beta-22",
     ),
     pytest.param(
-        "<J + 1<1> + 1<2> + 1<8> + 14>", ("lemma10",), 282, 5736,
-        "319db22c47d380945eb9368dd19e41b8c50ae0806a84d3434eb9c7270a9d77b2",
+        "<J + 1<1> + 1<2> + 1<8> + 14>", ("lemma10",), 282, 106,
+        "981816594e386da23fd4a676dfbc2c3317121213feb6d0071de5fc64d508c55f",
         id="lemma10-ablated",
     ),
     pytest.param(
